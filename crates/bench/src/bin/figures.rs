@@ -901,25 +901,23 @@ fn fig_obs_overhead(args: &Args) {
 }
 
 /// Connection-layer latency under concurrent clients: the same request
-/// script runs on 1..64 parallel connections against a threaded-mode and
-/// an async-mode server over one catalog, recording per-request p50/p99.
-/// Replies are oracle-asserted against one canonical transcript before
-/// anything is timed — the connection layer must never change a byte. The
-/// series to look at: threaded p99 climbs with the client count once it
-/// exceeds the worker pool (connections queue for a whole worker each),
-/// async p99 stays flat (connections cost a buffer, not a thread).
+/// script runs on 1..64 parallel connections against one server, recording
+/// per-request p50/p99. Replies are oracle-asserted against the canonical
+/// transcript from in-process `handle_line` — the connection layer must
+/// never change a byte. The series to look at: p99 stays flat as the
+/// client count grows past the worker pool, because a connection costs a
+/// buffer, not a thread.
 fn fig_connections(args: &Args) {
     use std::sync::Arc;
     use std::time::Instant;
-    use vdx_server::{Client, IoMode, Server, ServerConfig};
+    use vdx_server::{Client, ConnConfig, Server, ServerConfig};
 
     println!("\n== Connection layer: request latency vs concurrent clients ==");
     let per_step = (args.particles / 16).max(5_000);
     let (catalog, _dir) = catalog_workload("conn", per_step, 2);
-    let catalog = Arc::new(catalog);
 
     // The per-client request script. The SELECT/HIST replies are memoized
-    // by the query cache after the warmup transcript, so every measured
+    // by the query cache after the canonical transcript, so every measured
     // request exercises the connection layer, not the evaluator.
     let script: Vec<String> = vec![
         "PING".to_string(),
@@ -930,100 +928,83 @@ fn fig_connections(args: &Args) {
     let client_counts = [1usize, 4, 16, 64];
     let rounds = args.samples.max(5);
 
-    let mut canonical: Option<Arc<Vec<String>>> = None;
-    let mut rows = Vec::new();
-    let mut records = Vec::new();
-    println!(
-        "{:>10} {:>8} {:>12} {:>12}",
-        "io_mode", "clients", "p50_s", "p99_s"
-    );
-    for io_mode in [IoMode::Threaded, IoMode::Async] {
-        let server = Server::bind(
-            Arc::clone(&catalog),
-            "127.0.0.1:0",
-            ServerConfig {
+    let server = Server::bind(
+        Arc::new(catalog),
+        "127.0.0.1:0",
+        ServerConfig {
+            conn: ConnConfig {
                 workers: 8,
-                io_mode,
                 ..Default::default()
             },
-        )
-        .unwrap();
-        let (handle, join) = server.spawn();
-        let addr = handle.addr();
-
-        // The oracle: capture the canonical transcript once, then hold
-        // every reply of the other mode and of every measured request to
-        // it, byte for byte.
-        let mut warm = Client::connect(addr).unwrap();
-        let transcript: Vec<String> = script.iter().map(|r| warm.request(r).unwrap()).collect();
-        assert_eq!(warm.request("QUIT").unwrap(), "OK\tBYE");
-        match &canonical {
-            None => canonical = Some(Arc::new(transcript)),
-            Some(canon) => assert_eq!(
-                &transcript,
-                canon.as_ref(),
-                "io-modes diverged on the script replies"
-            ),
-        }
-        let canon = Arc::clone(canonical.as_ref().unwrap());
-
-        for &clients in &client_counts {
-            let mut latencies: Vec<f64> = Vec::new();
-            std::thread::scope(|scope| {
-                let threads: Vec<_> = (0..clients)
-                    .map(|_| {
-                        let canon = Arc::clone(&canon);
-                        let script = &script;
-                        scope.spawn(move || {
-                            let mut client = Client::connect(addr).unwrap();
-                            let mut lats = Vec::with_capacity(rounds * script.len());
-                            for _ in 0..rounds {
-                                for (request, expected) in script.iter().zip(canon.iter()) {
-                                    let start = Instant::now();
-                                    let reply = client.request(request).unwrap();
-                                    lats.push(start.elapsed().as_secs_f64());
-                                    assert_eq!(&reply, expected, "reply diverged for {request:?}");
-                                }
-                            }
-                            assert_eq!(client.request("QUIT").unwrap(), "OK\tBYE");
-                            lats
-                        })
-                    })
-                    .collect();
-                for thread in threads {
-                    latencies.extend(thread.join().unwrap());
-                }
-            });
-            latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-            let at = |q: f64| latencies[((latencies.len() - 1) as f64 * q).round() as usize];
-            let (p50, p99) = (at(0.50), at(0.99));
-            let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
-            println!("{io_mode:>10} {clients:>8} {p50:>12.6} {p99:>12.6}");
-            rows.push(format!("{io_mode},{clients},{p50},{p99}"));
-            for (suffix, value) in [("p50", p50), ("p99", p99)] {
-                records.push(BenchRecord::new(
-                    format!("conn_{io_mode}_{suffix}"),
-                    clients,
-                    TimeStats {
-                        mean_s: mean,
-                        median_s: value,
-                        samples: latencies.len(),
-                    },
-                ));
-            }
-        }
-
-        handle.shutdown();
-        join.join().unwrap().unwrap();
-    }
-
-    write_csv(
-        &args.out,
-        "connections.csv",
-        "io_mode,clients,p50_s,p99_s",
-        &rows,
+            ..Default::default()
+        },
     )
     .unwrap();
+    let (handle, join) = server.spawn();
+    let addr = handle.addr();
+
+    // The oracle: the canonical transcript comes from in-process dispatch,
+    // and every measured reply over the wire is held to it byte for byte.
+    let canon: Arc<Vec<String>> = Arc::new(
+        script
+            .iter()
+            .map(|r| handle.state().handle_line(r).0)
+            .collect(),
+    );
+
+    let mut rows = Vec::new();
+    let mut records = Vec::new();
+    println!("{:>8} {:>12} {:>12}", "clients", "p50_s", "p99_s");
+    for &clients in &client_counts {
+        let mut latencies: Vec<f64> = Vec::new();
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..clients)
+                .map(|_| {
+                    let canon = Arc::clone(&canon);
+                    let script = &script;
+                    scope.spawn(move || {
+                        let mut client = Client::connect(addr).unwrap();
+                        let mut lats = Vec::with_capacity(rounds * script.len());
+                        for _ in 0..rounds {
+                            for (request, expected) in script.iter().zip(canon.iter()) {
+                                let start = Instant::now();
+                                let reply = client.request(request).unwrap();
+                                lats.push(start.elapsed().as_secs_f64());
+                                assert_eq!(&reply, expected, "reply diverged for {request:?}");
+                            }
+                        }
+                        assert_eq!(client.request("QUIT").unwrap(), "OK\tBYE");
+                        lats
+                    })
+                })
+                .collect();
+            for thread in threads {
+                latencies.extend(thread.join().unwrap());
+            }
+        });
+        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+        let at = |q: f64| latencies[((latencies.len() - 1) as f64 * q).round() as usize];
+        let (p50, p99) = (at(0.50), at(0.99));
+        let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
+        println!("{clients:>8} {p50:>12.6} {p99:>12.6}");
+        rows.push(format!("{clients},{p50},{p99}"));
+        for (suffix, value) in [("p50", p50), ("p99", p99)] {
+            records.push(BenchRecord::new(
+                format!("conn_async_{suffix}"),
+                clients,
+                TimeStats {
+                    mean_s: mean,
+                    median_s: value,
+                    samples: latencies.len(),
+                },
+            ));
+        }
+    }
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+
+    write_csv(&args.out, "connections.csv", "clients,p50_s,p99_s", &rows).unwrap();
     write_bench_json(&args.out, "BENCH_connections.json", &records).unwrap();
 }
 
@@ -1038,7 +1019,7 @@ fn fig_connections(args: &Args) {
 /// the no-router baseline.
 fn fig_cluster(args: &Args) {
     use vdx_server::testkit::spawn_cluster;
-    use vdx_server::{Client, ConnConfig, IoMode, RouterConfig, ServerConfig};
+    use vdx_server::{Client, RouterConfig, ServerConfig};
 
     println!("\n== Cluster scatter-gather: 1 vs 3 shards behind the router ==");
     let per_step = (args.particles / 16).max(5_000);
@@ -1065,17 +1046,8 @@ fn fig_cluster(args: &Args) {
             32,
             shards,
             1,
-            ServerConfig {
-                workers: 4,
-                io_mode: IoMode::Async,
-                ..Default::default()
-            },
+            ServerConfig::default(),
             RouterConfig {
-                io_mode: IoMode::Async,
-                conn: ConnConfig {
-                    workers: 4,
-                    ..Default::default()
-                },
                 health_interval_ms: 0,
                 ..Default::default()
             },
@@ -1083,11 +1055,7 @@ fn fig_cluster(args: &Args) {
 
         // Oracle first (also warms every backend's dataset cache): the
         // sharded answer must be byte-identical to the single process.
-        let oracle = cluster.spawn_oracle(ServerConfig {
-            workers: 4,
-            io_mode: IoMode::Async,
-            ..Default::default()
-        });
+        let oracle = cluster.spawn_oracle(ServerConfig::default());
         let mut routed = Client::connect(cluster.addr()).expect("connect router");
         let mut single = Client::connect(oracle.addr()).expect("connect oracle");
         for line in &script {

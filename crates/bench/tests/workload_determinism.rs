@@ -16,7 +16,7 @@ use vdx_bench::workload::{Session, SessionKind, SessionSpace};
 use vdx_core::{DataExplorer, ExplorerConfig};
 use vdx_server::protocol::{self, Request};
 use vdx_server::testkit::{self, TestServer};
-use vdx_server::{IoMode, ServerConfig};
+use vdx_server::{ConnConfig, ServerConfig};
 
 const PARTICLES: usize = 300;
 const TIMESTEPS: usize = 3;
@@ -29,8 +29,10 @@ fn spawn(tag: &str) -> TestServer {
         TIMESTEPS,
         8,
         ServerConfig {
-            workers: 2,
-            io_mode: IoMode::Async,
+            conn: ConnConfig {
+                workers: 2,
+                ..Default::default()
+            },
             ..Default::default()
         },
     )
@@ -139,8 +141,10 @@ fn server_replies_match_the_direct_explorer_oracle() {
         catalog.clone(),
         dir,
         ServerConfig {
-            workers: 2,
-            io_mode: IoMode::Async,
+            conn: ConnConfig {
+                workers: 2,
+                ..Default::default()
+            },
             ..Default::default()
         },
     );

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use vdx_bench::workload::{self, SessionMix, SessionSpace, SloSet, WorkloadConfig};
 use vdx_server::testkit;
-use vdx_server::{parse_stats, Client, ConnConfig, IoMode, RouterConfig, ServerConfig};
+use vdx_server::{parse_stats, Client, ConnConfig, RouterConfig, ServerConfig};
 
 fn config(
     sessions: usize,
@@ -31,17 +31,7 @@ fn config(
 
 #[test]
 fn healthy_server_passes_the_gate_and_reconciles_exactly() {
-    let server = testkit::spawn_tiny_server(
-        "slo_healthy",
-        400,
-        3,
-        16,
-        ServerConfig {
-            workers: 4,
-            io_mode: IoMode::Async,
-            ..Default::default()
-        },
-    );
+    let server = testkit::spawn_tiny_server("slo_healthy", 400, 3, 16, ServerConfig::default());
 
     let cfg = config(12, 200.0, Duration::from_millis(1), 7, 3);
     let outcome = workload::run(server.addr(), &cfg).expect("healthy run");
@@ -92,17 +82,8 @@ fn sharded_cluster_passes_the_gate_and_reconciles_exactly() {
         16,
         3,
         2,
-        ServerConfig {
-            workers: 4,
-            io_mode: IoMode::Async,
-            ..Default::default()
-        },
+        ServerConfig::default(),
         RouterConfig {
-            io_mode: IoMode::Async,
-            conn: ConnConfig {
-                workers: 4,
-                ..Default::default()
-            },
             health_interval_ms: 0,
             ..Default::default()
         },
@@ -170,9 +151,11 @@ fn starved_server_fails_the_gate_with_busy_counted_on_both_sides() {
         2,
         8,
         ServerConfig {
-            workers: 1,
-            io_mode: IoMode::Async,
-            queue_depth: 1,
+            conn: ConnConfig {
+                workers: 1,
+                queue_depth: 1,
+                ..Default::default()
+            },
             ..Default::default()
         },
     );

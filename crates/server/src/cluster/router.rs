@@ -2,10 +2,10 @@
 //! protocol, fanning requests out to backend shards and merging replies.
 //!
 //! A [`Router`] looks exactly like a [`crate::Server`] to clients — same
-//! verbs, same reply grammar, same connection layers (it implements
-//! [`LineService`] and is served by [`crate::service::run_listener`], so
-//! framing, pipelining, admission control, and idle/write-stall timeouts
-//! are the hardened machinery the single-process server uses). Behind it,
+//! verbs, same reply grammar, same connection layer (it implements
+//! [`LineService`] and is served by the [`crate::event_loop`], so framing,
+//! pipelining, admission control, and idle/write-stall timeouts are the
+//! hardened machinery the single-process server uses). Behind it,
 //! a [`ShardMap`] assigns every timestep to one replica group of backend
 //! `vdx-server` processes:
 //!
@@ -43,14 +43,11 @@ use super::shard_map::ShardMap;
 use crate::framing;
 use crate::metrics::{ConnMetrics, OpMetrics, ServerMetrics};
 use crate::protocol::{self, Request};
-use crate::server::IoMode;
 use crate::service::{ConnConfig, LineService};
 
 /// Configuration of a [`Router`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// The connection layer the router's own listener runs.
-    pub io_mode: IoMode,
     /// Transport limits of the router's own listener (workers, line cap,
     /// timeouts, pipelining, admission control).
     pub conn: ConnConfig,
@@ -72,7 +69,6 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         Self {
-            io_mode: IoMode::Async,
             conn: ConnConfig::default(),
             backend_timeout_ms: 5_000,
             backend_inflight: 32,
@@ -534,7 +530,6 @@ impl RouterState {
         ServerMetrics::append_op_fields(&mut fields, "metrics", &self.metrics.metrics);
         ServerMetrics::append_op_fields(&mut fields, "trace", &self.metrics.trace);
         ServerMetrics::append_op_fields(&mut fields, "slowlog", &self.metrics.slowlog);
-        fields.push(format!("io_mode={}", self.config.io_mode));
         fields.push(format!("connections_accepted={}", self.conn.accepted()));
         fields.push(format!("connections_open={}", self.conn.open()));
         fields.push(format!("connection_errors={}", self.conn.errors()));
@@ -773,10 +768,11 @@ impl Router {
     /// health prober, if one runs) and return.
     pub fn run(self) -> std::io::Result<()> {
         let prober = spawn_prober(&self.state);
-        let conn = self.state.config.conn.clone();
-        let io_mode = self.state.config.io_mode;
-        let result =
-            crate::service::run_listener(self.listener, Arc::clone(&self.state), io_mode, &conn);
+        let result = crate::event_loop::run(
+            self.listener,
+            Arc::clone(&self.state),
+            &self.state.config.conn,
+        );
         if let Some(join) = prober {
             let _ = join.join();
         }

@@ -1,10 +1,9 @@
 //! The event-loop connection layer: one reactor thread owns every socket.
 //!
-//! The threaded layer's failure mode is structural: a worker thread blocks
-//! on its connection's socket for the connection's whole lifetime, so `W`
-//! *idle* clients starve a `W`-thread pool and a fresh `PING` waits behind
-//! people who aren't even asking anything. Here a connection holds a
-//! buffer, not a thread:
+//! A connection holds a buffer, not a thread. A worker never blocks on a
+//! socket for a connection's lifetime, so idle clients cannot starve the
+//! worker pool and a fresh `PING` never waits behind clients that aren't
+//! asking anything:
 //!
 //! * The **reactor** thread runs a level-triggered readiness loop
 //!   ([`polling::Poller`] — epoll on Linux, kqueue on the BSDs) over the
@@ -12,12 +11,11 @@
 //!   connection's read buffer (incremental line framing via
 //!   [`framing::LineSplitter`]), write buffer, and pipeline queue.
 //! * **Workers** never touch sockets. They receive complete request lines
-//!   over an `mpsc` channel, run [`LineService::handle_line`] — the same
-//!   entry point the threaded layer calls, which is what makes the two
-//!   modes byte-identical — and push the reply back to the reactor through
-//!   a completion channel plus a [`polling::Waker`]. The loop is generic
-//!   over the [`LineService`], so the single-process server and the
-//!   cluster router share it unchanged.
+//!   over an `mpsc` channel, run [`LineService::handle_line`] — so a reply
+//!   over the wire is byte-identical to an in-process call — and push the
+//!   reply back to the reactor through a completion channel plus a
+//!   [`polling::Waker`]. The loop is generic over the [`LineService`], so
+//!   the single-process server and the cluster router share it unchanged.
 //!
 //! Scheduling and bounds:
 //!
@@ -159,9 +157,8 @@ struct Reactor<S: LineService> {
     job_tx: mpsc::Sender<Job>,
 }
 
-/// Run the event loop until a graceful shutdown completes. This is the
-/// async-mode body of [`crate::service::run_listener`] — generic over the
-/// [`LineService`], so the single-process server and the cluster router
+/// Run the event loop until a graceful shutdown completes. Generic over
+/// the [`LineService`], so the single-process server and the cluster router
 /// share one reactor implementation.
 pub(crate) fn run<S: LineService>(
     listener: TcpListener,
@@ -361,7 +358,7 @@ impl<S: LineService> Reactor<S> {
             }
         }
         if conn.read_closed {
-            // The blocking path serves an unterminated final line; match it.
+            // An unterminated final line before EOF is still a request.
             match conn.splitter.finish_eof() {
                 Some(LineRead::Line(line)) if !line.is_empty() => {
                     conn.pending.push_back(PendingItem::Request(line));
@@ -389,8 +386,8 @@ impl<S: LineService> Reactor<S> {
         conn.last_activity = Instant::now();
         append_reply(conn, &done.reply);
         if done.close {
-            // QUIT/SHUTDOWN discard any pipelined requests behind them,
-            // exactly as the blocking path stops reading after one.
+            // QUIT/SHUTDOWN discard any pipelined requests behind them: the
+            // connection serves nothing after a closing reply.
             conn.closing = true;
             conn.pending.clear();
         }

@@ -1,6 +1,5 @@
 //! Line framing with a hard length cap, shared by every path that reads the
-//! wire: the threaded connection loop, the event-loop reactor, and the
-//! blocking [`crate::Client`].
+//! wire: the event-loop reactor and the blocking [`crate::Client`].
 //!
 //! The protocol is newline-delimited, which makes an uncapped reader a
 //! memory-DoS: a peer that streams bytes without ever sending `\n` grows
@@ -14,7 +13,7 @@
 //! Two consumers, two shapes:
 //!
 //! * [`read_line_capped`] — pull framing over a blocking [`BufRead`]
-//!   (threaded server path and client).
+//!   (client).
 //! * [`LineSplitter`] — push framing over an append-only byte buffer fed by
 //!   nonblocking reads (event-loop path). Complete lines come out as they
 //!   arrive; the unconsumed tail is bounded by the cap.
@@ -139,9 +138,8 @@ impl LineSplitter {
     }
 
     /// Consume the buffered tail once the peer has half-closed. A non-empty
-    /// partial final line comes back as [`LineRead::Line`] — the blocking
-    /// path's `BufRead` framing yields an unterminated final line the same
-    /// way — and `None` means nothing was pending.
+    /// partial final line comes back as [`LineRead::Line`] — an unterminated
+    /// final line is still served — and `None` means nothing was pending.
     pub fn finish_eof(&mut self) -> Option<LineRead> {
         if self.overflowed {
             return None;

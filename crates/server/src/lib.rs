@@ -7,12 +7,10 @@
 //!
 //! * [`server::Server`] — a `TcpListener` answering a line-delimited
 //!   protocol ([`protocol`]) with select / refine / histogram / track /
-//!   info / stats operations and graceful shutdown, through either
-//!   connection layer ([`server::IoMode`]): the [`event_loop`] reactor
-//!   (default — sockets are multiplexed nonblocking, a connection holds a
-//!   buffer rather than a thread, requests are pipelined under admission
-//!   control) or the historical thread-per-connection pool. Both share the
-//!   capped [`framing`] layer and answer byte-identically.
+//!   info / stats operations and graceful shutdown, through the
+//!   [`event_loop`] reactor: sockets are multiplexed nonblocking, a
+//!   connection holds a buffer rather than a thread, and requests are
+//!   pipelined under admission control over the capped [`framing`] layer.
 //! * [`datastore::DatasetCache`] (layer 1) — sharded, byte-budgeted LRU of
 //!   loaded datasets, so a hot timestep's columns and indexes are read from
 //!   disk once.
@@ -56,5 +54,5 @@ pub use cluster::{Router, RouterConfig, RouterHandle, RouterState, ShardMap};
 pub use metrics::{ConnMetrics, OpMetrics, ServerMetrics};
 pub use protocol::Request;
 pub use query_cache::{QueryCache, QueryCacheStats};
-pub use server::{IoMode, Server, ServerConfig, ServerHandle, ServerState};
+pub use server::{Server, ServerConfig, ServerHandle, ServerState};
 pub use service::{ConnConfig, LineService};

@@ -1,34 +1,30 @@
-//! The `vdx-server` binary: serve a catalog, drive a running server from the
-//! command line, run the CI smoke session, or load-test hot vs cold caches.
+//! The `vdx-server` binary: serve a catalog, route over shard servers,
+//! drive a running server from the command line, or run the CI smoke
+//! session.
 //!
 //! ```text
 //! vdx-server serve --dir DIR [--addr 127.0.0.1:7878] [--workers N]
-//!                  [--io-mode threaded|async] [--cache-mb MB]
-//!                  [--query-cache N] [--nodes N] [--threads N]
-//!                  [--chunk-rows N] [--index-accel] [--store-dir DIR]
+//!                  [--cache-mb MB] [--query-cache N] [--nodes N]
+//!                  [--threads N] [--chunk-rows N] [--index-accel]
+//!                  [--store-dir DIR] [--trace-sample N] [--slow-ms MS]
+//!                  [--max-line-bytes N] [--idle-timeout-ms MS]
+//!                  [--write-timeout-ms MS] [--max-pipeline N]
+//!                  [--queue-depth N]
+//! vdx-server route --shard-map FILE.toml [--addr 127.0.0.1:7879]
+//!                  [--workers N] [--backend-timeout-ms MS]
+//!                  [--backend-inflight N] [--health-interval-ms MS]
 //!                  [--trace-sample N] [--slow-ms MS] [--max-line-bytes N]
 //!                  [--idle-timeout-ms MS] [--write-timeout-ms MS]
 //!                  [--max-pipeline N] [--queue-depth N]
-//! vdx-server route --shard-map FILE.toml [--addr 127.0.0.1:7879]
-//!                  [--io-mode threaded|async] [--workers N]
-//!                  [--backend-timeout-ms MS] [--backend-inflight N]
-//!                  [--health-interval-ms MS] [--trace-sample N]
-//!                  [--slow-ms MS] [--max-line-bytes N]
-//!                  [--idle-timeout-ms MS] [--write-timeout-ms MS]
-//!                  [--max-pipeline N] [--queue-depth N]
 //! vdx-server query --addr HOST:PORT <verb> [field ...]
-//! vdx-server smoke [--dir DIR] [--store-dir DIR] [--io-mode threaded|async]
-//! vdx-server bench [--clients N] [--rounds N] [--particles N] [--timesteps N]
-//!                  [--io-mode threaded|async]
+//! vdx-server smoke [--dir DIR] [--store-dir DIR]
 //! ```
 //!
-//! `--io-mode` picks the connection layer: `async` (the default) multiplexes
-//! every socket on one reactor thread and dispatches request lines to the
-//! worker pool — a connection holds a buffer, not a thread — while
-//! `threaded` is the historical blocking pool. Replies are byte-identical;
-//! the connection-hardening knobs (`--max-line-bytes`, `--idle-timeout-ms`,
-//! `--write-timeout-ms`, and async-only `--max-pipeline`/`--queue-depth`)
-//! are documented in docs/PROTOCOL.md.
+//! `serve`, `route` and `smoke` reject any flag their usage line does not
+//! name and any value that does not parse, naming the flag. The
+//! connection-hardening knobs (`--max-line-bytes`, `--idle-timeout-ms`,
+//! `--write-timeout-ms`, `--max-pipeline`, `--queue-depth`) are documented
+//! in docs/PROTOCOL.md.
 //!
 //! `--store-dir` attaches the persistent `vdx` segment store: loads check
 //! the store before ingesting raw data, cold loads write their segment back,
@@ -54,12 +50,16 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
 use datastore::{Catalog, DatasetCacheConfig};
 use histogram::Binning;
 use lwfa::{SimConfig, Simulation};
 use vdx_server::{Client, ConnConfig, Router, RouterConfig, Server, ServerConfig};
+
+const SERVE_USAGE: &str = "serve --dir DIR [--addr A] [--workers N] [--cache-mb MB] [--query-cache N] [--nodes N] [--threads N] [--chunk-rows N] [--index-accel] [--store-dir DIR] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]";
+const ROUTE_USAGE: &str = "route --shard-map FILE.toml [--addr A] [--workers N] [--backend-timeout-ms MS] [--backend-inflight N] [--health-interval-ms MS] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]";
+const QUERY_USAGE: &str = "query --addr HOST:PORT <verb> [field ...]";
+const SMOKE_USAGE: &str = "smoke [--dir DIR] [--store-dir DIR]";
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -67,35 +67,74 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    flag(args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The parsed value of flag `name`, or `default` when the flag is absent.
+fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    match flag(args, name) {
+        None => Ok(default),
+        Some(value) => value
+            .parse()
+            .map_err(|_| format!("{name}: cannot parse `{value}`")),
+    }
 }
 
-fn server_config(args: &[String]) -> ServerConfig {
+/// Check `args` against a usage line: every argument must be a flag the
+/// line names, and a flag shown with a value placeholder (`--dir DIR`,
+/// `[--addr A]`) must be followed by a value.
+fn check_args(usage: &str, args: &[String]) -> Result<(), String> {
+    let tokens: Vec<&str> = usage
+        .split_whitespace()
+        .map(|t| t.trim_start_matches('['))
+        .collect();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let at = tokens
+            .iter()
+            .position(|t| arg.starts_with("--") && t.trim_end_matches(']') == arg)
+            .ok_or_else(|| format!("unknown argument `{arg}` (usage: {usage})"))?;
+        let takes_value =
+            !tokens[at].ends_with(']') && tokens.get(at + 1).is_some_and(|t| !t.starts_with("--"));
+        if takes_value && rest.next().is_none() {
+            return Err(format!("{arg} needs a value (usage: {usage})"));
+        }
+    }
+    Ok(())
+}
+
+/// The transport settings shared by `serve` and `route`.
+fn conn_config(args: &[String]) -> Result<ConnConfig, String> {
+    let defaults = ConnConfig::default();
+    Ok(ConnConfig {
+        workers: parsed_flag(args, "--workers", defaults.workers)?,
+        max_line_bytes: parsed_flag(args, "--max-line-bytes", defaults.max_line_bytes)?,
+        idle_timeout_ms: parsed_flag(args, "--idle-timeout-ms", defaults.idle_timeout_ms)?,
+        write_timeout_ms: parsed_flag(args, "--write-timeout-ms", defaults.write_timeout_ms)?,
+        max_pipeline: parsed_flag(args, "--max-pipeline", defaults.max_pipeline)?,
+        queue_depth: parsed_flag(args, "--queue-depth", defaults.queue_depth)?,
+        ..defaults
+    })
+}
+
+fn server_config(args: &[String]) -> Result<ServerConfig, String> {
     let defaults = ServerConfig::default();
-    ServerConfig {
-        workers: parsed_flag(args, "--workers", defaults.workers),
-        io_mode: parsed_flag(args, "--io-mode", defaults.io_mode),
-        max_line_bytes: parsed_flag(args, "--max-line-bytes", defaults.max_line_bytes),
-        idle_timeout_ms: parsed_flag(args, "--idle-timeout-ms", defaults.idle_timeout_ms),
-        write_timeout_ms: parsed_flag(args, "--write-timeout-ms", defaults.write_timeout_ms),
-        max_pipeline: parsed_flag(args, "--max-pipeline", defaults.max_pipeline),
-        queue_depth: parsed_flag(args, "--queue-depth", defaults.queue_depth),
-        nodes: parsed_flag(args, "--nodes", defaults.nodes),
-        threads: parsed_flag(args, "--threads", defaults.threads),
-        chunk_rows: parsed_flag(args, "--chunk-rows", defaults.chunk_rows),
+    let cache = DatasetCacheConfig::default();
+    let cache_mb: usize = parsed_flag(args, "--cache-mb", cache.max_bytes >> 20)?;
+    Ok(ServerConfig {
+        conn: conn_config(args)?,
+        nodes: parsed_flag(args, "--nodes", defaults.nodes)?,
+        threads: parsed_flag(args, "--threads", defaults.threads)?,
+        chunk_rows: parsed_flag(args, "--chunk-rows", defaults.chunk_rows)?,
         index_accel: args.iter().any(|a| a == "--index-accel"),
         dataset_cache: DatasetCacheConfig {
-            max_bytes: parsed_flag(args, "--cache-mb", 256usize) << 20,
-            shards: defaults.dataset_cache.shards,
+            max_bytes: cache_mb
+                .checked_mul(1 << 20)
+                .ok_or("--cache-mb: too large")?,
+            ..cache
         },
-        query_cache_entries: parsed_flag(args, "--query-cache", defaults.query_cache_entries),
-        trace_sample: parsed_flag(args, "--trace-sample", defaults.trace_sample),
-        slow_ms: parsed_flag(args, "--slow-ms", defaults.slow_ms),
+        query_cache_entries: parsed_flag(args, "--query-cache", defaults.query_cache_entries)?,
+        trace_sample: parsed_flag(args, "--trace-sample", defaults.trace_sample)?,
+        slow_ms: parsed_flag(args, "--slow-ms", defaults.slow_ms)?,
         ..defaults
-    }
+    })
 }
 
 fn main() -> ExitCode {
@@ -106,15 +145,13 @@ fn main() -> ExitCode {
         "route" => route(&args[1..]),
         "query" => query(&args[1..]),
         "smoke" => smoke(&args[1..]),
-        "bench" => bench(&args[1..]),
         _ => {
             eprintln!(
-                "usage: vdx-server <serve|route|query|smoke|bench> [options]\n\
-                 \x20 serve --dir DIR [--addr A] [--workers N] [--io-mode threaded|async] [--cache-mb MB] [--query-cache N] [--nodes N] [--threads N] [--chunk-rows N] [--index-accel] [--store-dir DIR] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]\n\
-                 \x20 route --shard-map FILE.toml [--addr A] [--io-mode threaded|async] [--workers N] [--backend-timeout-ms MS] [--backend-inflight N] [--health-interval-ms MS] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]\n\
-                 \x20 query --addr HOST:PORT <verb> [field ...]\n\
-                 \x20 smoke [--dir DIR] [--store-dir DIR] [--io-mode threaded|async]\n\
-                 \x20 bench [--clients N] [--rounds N] [--particles N] [--timesteps N] [--io-mode threaded|async]"
+                "usage: vdx-server <serve|route|query|smoke> [options]\n\
+                 \x20 {SERVE_USAGE}\n\
+                 \x20 {ROUTE_USAGE}\n\
+                 \x20 {QUERY_USAGE}\n\
+                 \x20 {SMOKE_USAGE}"
             );
             return ExitCode::FAILURE;
         }
@@ -129,6 +166,8 @@ fn main() -> ExitCode {
 }
 
 fn serve(args: &[String]) -> Result<(), String> {
+    check_args(SERVE_USAGE, args)?;
+    let config = server_config(args)?;
     let dir = flag(args, "--dir").ok_or("serve requires --dir DIR")?;
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
     let mut catalog = Catalog::open(&dir).map_err(|e| format!("open {dir}: {e}"))?;
@@ -141,8 +180,8 @@ fn serve(args: &[String]) -> Result<(), String> {
         catalog.attach_store(store);
         println!("vdx-server store attached at {store_dir}");
     }
-    let server = Server::bind(Arc::new(catalog), &addr, server_config(args))
-        .map_err(|e| format!("bind {addr}: {e}"))?;
+    let server =
+        Server::bind(Arc::new(catalog), &addr, config).map_err(|e| format!("bind {addr}: {e}"))?;
     println!("vdx-server listening on {} ({dir})", server.local_addr());
     println!(
         "stop with: vdx-server query --addr {} SHUTDOWN",
@@ -154,31 +193,18 @@ fn serve(args: &[String]) -> Result<(), String> {
 /// Serve as a scatter-gather router over the backends named by a shard map
 /// file (same wire protocol as `serve`; see docs/CLUSTER.md).
 fn route(args: &[String]) -> Result<(), String> {
+    check_args(ROUTE_USAGE, args)?;
+    let defaults = RouterConfig::default();
+    let config = RouterConfig {
+        conn: conn_config(args)?,
+        backend_timeout_ms: parsed_flag(args, "--backend-timeout-ms", defaults.backend_timeout_ms)?,
+        backend_inflight: parsed_flag(args, "--backend-inflight", defaults.backend_inflight)?,
+        health_interval_ms: parsed_flag(args, "--health-interval-ms", defaults.health_interval_ms)?,
+        trace_sample: parsed_flag(args, "--trace-sample", defaults.trace_sample)?,
+        slow_ms: parsed_flag(args, "--slow-ms", defaults.slow_ms)?,
+    };
     let map_path = flag(args, "--shard-map").ok_or("route requires --shard-map FILE.toml")?;
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:7879".to_string());
-    let defaults = RouterConfig::default();
-    let conn_defaults = ConnConfig::default();
-    let config = RouterConfig {
-        io_mode: parsed_flag(args, "--io-mode", defaults.io_mode),
-        conn: ConnConfig {
-            workers: parsed_flag(args, "--workers", conn_defaults.workers),
-            max_line_bytes: parsed_flag(args, "--max-line-bytes", conn_defaults.max_line_bytes),
-            idle_timeout_ms: parsed_flag(args, "--idle-timeout-ms", conn_defaults.idle_timeout_ms),
-            write_timeout_ms: parsed_flag(
-                args,
-                "--write-timeout-ms",
-                conn_defaults.write_timeout_ms,
-            ),
-            max_pipeline: parsed_flag(args, "--max-pipeline", conn_defaults.max_pipeline),
-            queue_depth: parsed_flag(args, "--queue-depth", conn_defaults.queue_depth),
-            ..conn_defaults
-        },
-        backend_timeout_ms: parsed_flag(args, "--backend-timeout-ms", defaults.backend_timeout_ms),
-        backend_inflight: parsed_flag(args, "--backend-inflight", defaults.backend_inflight),
-        health_interval_ms: parsed_flag(args, "--health-interval-ms", defaults.health_interval_ms),
-        trace_sample: parsed_flag(args, "--trace-sample", defaults.trace_sample),
-        slow_ms: parsed_flag(args, "--slow-ms", defaults.slow_ms),
-    };
     let router = Router::bind_from_file(&map_path, &addr, config)
         .map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
@@ -243,6 +269,7 @@ fn scratch_catalog(
 /// `store_*` counters — so running smoke twice with both flags exercises a
 /// cold start (segments written) and then a warm one (segments hit).
 fn smoke(args: &[String]) -> Result<(), String> {
+    check_args(SMOKE_USAGE, args)?;
     let (particles, timesteps) = (800usize, 16usize);
     let (catalog, sim, dir, scratch) = match flag(args, "--dir") {
         None => {
@@ -292,11 +319,10 @@ fn smoke(args: &[String]) -> Result<(), String> {
     };
     let last = *catalog.steps().last().expect("timesteps exist");
     let threshold = lwfa::physics::suggested_beam_threshold(&sim, last);
-    let config = server_config(args);
-    let io_mode = config.io_mode;
-    let server = Server::bind(catalog, "127.0.0.1:0", config).map_err(|e| e.to_string())?;
+    let server =
+        Server::bind(catalog, "127.0.0.1:0", ServerConfig::default()).map_err(|e| e.to_string())?;
     let (handle, join) = server.spawn();
-    println!("smoke: serving on {} io-mode={io_mode}", handle.addr());
+    println!("smoke: serving on {}", handle.addr());
 
     let mut client = Client::connect(handle.addr()).map_err(|e| e.to_string())?;
     let mut script = vec![
@@ -439,83 +465,6 @@ fn smoke(args: &[String]) -> Result<(), String> {
     if scratch {
         std::fs::remove_dir_all(&dir).ok();
     }
-    Ok(())
-}
-
-/// Load generator: replay a mixed select/histogram workload from N client
-/// threads, twice — the first pass is cold (empty caches), the second hot —
-/// and report queries/sec for both.
-fn bench(args: &[String]) -> Result<(), String> {
-    let clients = parsed_flag(args, "--clients", 8usize).max(1);
-    let rounds = parsed_flag(args, "--rounds", 20usize).max(1);
-    let particles = parsed_flag(args, "--particles", 20_000usize);
-    let timesteps = parsed_flag(args, "--timesteps", 8usize).max(2);
-    let (catalog, _sim, dir) = scratch_catalog("bench", particles, timesteps)?;
-    let steps = catalog.steps();
-    let server =
-        Server::bind(catalog, "127.0.0.1:0", server_config(args)).map_err(|e| e.to_string())?;
-    let addr = server.local_addr();
-    let (_handle, join) = server.spawn();
-
-    // A repeating mixed workload over every step and a few thresholds.
-    let mut workload = Vec::new();
-    for round in 0..rounds {
-        let step = steps[round % steps.len()];
-        let threshold = 1e9 * (1 + round % 5) as f64;
-        workload.push(format!("SELECT\t{step}\tpx > {threshold}"));
-        workload.push(format!("HIST\t{step}\tpx\t64"));
-        workload.push(format!("HIST\t{step}\tx\t64\tpx > {threshold}"));
-    }
-
-    let run_pass = |label: &str| -> Result<f64, String> {
-        let started = Instant::now();
-        std::thread::scope(|scope| -> Result<(), String> {
-            let mut joins = Vec::new();
-            for _ in 0..clients {
-                let workload = &workload;
-                joins.push(scope.spawn(move || -> Result<(), String> {
-                    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-                    for line in workload {
-                        let reply = client.request(line).map_err(|e| e.to_string())?;
-                        if !reply.starts_with("OK\t") {
-                            return Err(format!("{line}: {reply}"));
-                        }
-                    }
-                    Ok(())
-                }));
-            }
-            for j in joins {
-                j.join().map_err(|_| "client panicked".to_string())??;
-            }
-            Ok(())
-        })?;
-        let elapsed = started.elapsed().as_secs_f64();
-        let qps = (clients * workload.len()) as f64 / elapsed;
-        println!(
-            "bench: {label:>4} pass: {} requests in {elapsed:.3}s -> {qps:.0} req/s",
-            clients * workload.len()
-        );
-        Ok(qps)
-    };
-
-    let cold = run_pass("cold")?;
-    let hot = run_pass("hot")?;
-    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-    let stats = client.stats().map_err(|e| e.to_string())?;
-    println!(
-        "bench: hot/cold speedup {:.2}x; ds_hits={} ds_misses={} qc_hits={} evaluations={}",
-        hot / cold.max(1e-9),
-        stats.get("ds_hits").map(String::as_str).unwrap_or("?"),
-        stats.get("ds_misses").map(String::as_str).unwrap_or("?"),
-        stats.get("qc_hits").map(String::as_str).unwrap_or("?"),
-        stats.get("evaluations").map(String::as_str).unwrap_or("?"),
-    );
-    client.request("SHUTDOWN").map_err(|e| e.to_string())?;
-    drop(client);
-    join.join()
-        .map_err(|_| "server thread panicked".to_string())?
-        .map_err(|e| e.to_string())?;
-    std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }
 

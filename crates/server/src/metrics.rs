@@ -91,8 +91,8 @@ impl OpMetrics {
     }
 }
 
-/// Connection-layer instruments, shared by both io-modes (threaded and
-/// event-loop). These count *connections and admission decisions*, not
+/// Connection-layer instruments of the event loop, shared by the server
+/// and the router. These count *connections and admission decisions*, not
 /// requests — a connection that sends a hundred pipelined requests moves
 /// `accepted` once; a request refused by admission control moves
 /// `busy_rejections` without ever reaching the per-verb [`OpMetrics`].

@@ -1,23 +1,13 @@
 //! The concurrent TCP query server.
 //!
-//! Two interchangeable connection layers serve the same protocol against
-//! the same shared state (selected by [`ServerConfig::io_mode`], replies
-//! byte-identical by construction because both call
-//! [`ServerState::handle_line`]):
-//!
-//! * **async** (the default) — a readiness event loop ([`crate::event_loop`])
-//!   in which one reactor thread owns every socket nonblocking; a connection
-//!   holds a buffer, not a thread, so thousands of idle clients cost no
-//!   workers and a fresh request is dispatched to the worker pool the moment
-//!   its line arrives. Pipelining, admission control (`ERR busy`), idle and
-//!   write-stall timeouts live here.
-//! * **threaded** — the historical model: the accept loop hands each
-//!   connection to a fixed pool of worker threads over an `mpsc` channel,
-//!   and a worker blocks on its connection until the client leaves. Simple,
-//!   but `W` idle clients starve the `W`-thread pool.
-//!
-//! Both layers share [`crate::framing`] (capped line framing) and the
-//! request lines they deliver run against shared state:
+//! The connection layer is the readiness event loop
+//! ([`crate::event_loop`]): one reactor thread owns every socket
+//! nonblocking, a connection holds a buffer rather than a thread, and a
+//! fresh request is dispatched to the worker pool the moment its line
+//! arrives. Pipelining, admission control (`ERR busy`), idle and
+//! write-stall timeouts live there, configured by [`ServerConfig::conn`].
+//! Every request line it delivers runs through
+//! [`ServerState::handle_line`] against shared state:
 //!
 //! * an `Arc<Catalog>` (the timestep directory),
 //! * a [`DatasetCache`] keeping hot timesteps (columns + WAH indexes)
@@ -31,8 +21,8 @@
 //!   (`TRACE LAST`, `TRACE <id>`) with a slow-query ring (`SLOWLOG`).
 //!
 //! Shutdown is graceful: the `SHUTDOWN` verb (or [`ServerHandle::shutdown`])
-//! flips a flag and unblocks the accept loop; workers finish the
-//! connections they hold and the run loop joins them before returning.
+//! flips a flag and wakes the reactor; dispatched requests finish, replies
+//! flush, and the run loop joins the workers before returning.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,79 +33,17 @@ use datastore::{Catalog, DatasetCache, DatasetCacheConfig};
 use fastbit::{parse_query, HistEngine};
 use vdx_core::{DataExplorer, ExplorerConfig};
 
-use crate::framing;
 use crate::metrics::{ConnMetrics, ServerMetrics};
 use crate::protocol::{self, Request};
 use crate::query_cache::QueryCache;
 use crate::service::{ConnConfig, LineService};
 
-/// Which connection layer a [`Server`] runs (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
-    /// One worker thread blocks per in-flight connection.
-    Threaded,
-    /// A reactor thread multiplexes every connection nonblocking and
-    /// dispatches complete request lines to the worker pool.
-    Async,
-}
-
-impl IoMode {
-    /// The wire/CLI spelling (`threaded` / `async`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IoMode::Threaded => "threaded",
-            IoMode::Async => "async",
-        }
-    }
-}
-
-impl std::fmt::Display for IoMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for IoMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "threaded" => Ok(IoMode::Threaded),
-            "async" => Ok(IoMode::Async),
-            other => Err(format!("unknown io mode `{other}` (threaded|async)")),
-        }
-    }
-}
-
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads serving connections (at least 1).
-    pub workers: usize,
-    /// The connection layer: [`IoMode::Async`] (event loop, default) or
-    /// [`IoMode::Threaded`] (thread per in-flight connection).
-    pub io_mode: IoMode,
-    /// Hard cap on one request line in bytes (newline excluded). An
-    /// oversized line is answered with `ERR line too long …` and the
-    /// connection closes.
-    pub max_line_bytes: usize,
-    /// Close connections idle longer than this (milliseconds) with a typed
-    /// `ERR idle timeout …` reply; `0` disables the idle timeout.
-    pub idle_timeout_ms: u64,
-    /// Close connections whose peer accepts no reply bytes for this long
-    /// (milliseconds); `0` disables the write-stall timeout.
-    pub write_timeout_ms: u64,
-    /// Pipelining depth: complete request lines buffered per connection
-    /// before the reactor pauses reading from it (async mode; at least 1).
-    pub max_pipeline: usize,
-    /// Admission control: requests dispatched-but-unfinished across all
-    /// connections before new ones are refused with `ERR busy` (async mode;
-    /// at least 1).
-    pub queue_depth: usize,
-    /// Hard cap on one connection's buffered unsent reply bytes; a peer
-    /// that reads slower than it queries is disconnected at this point
-    /// (async mode).
-    pub write_buf_limit: usize,
+    /// Transport limits of the server's listener (workers, line cap,
+    /// timeouts, pipelining, admission control).
+    pub conn: ConnConfig,
     /// Parallel "nodes" used by catalog-wide tracking requests.
     pub nodes: usize,
     /// Worker threads used *within* one SELECT/REFINE/HIST evaluation by the
@@ -141,33 +69,10 @@ pub struct ServerConfig {
     pub slow_ms: u64,
 }
 
-impl ServerConfig {
-    /// The transport subset of this configuration, handed to the shared
-    /// connection layers in [`crate::service`].
-    pub fn conn(&self) -> ConnConfig {
-        ConnConfig {
-            workers: self.workers,
-            max_line_bytes: self.max_line_bytes,
-            idle_timeout_ms: self.idle_timeout_ms,
-            write_timeout_ms: self.write_timeout_ms,
-            max_pipeline: self.max_pipeline,
-            queue_depth: self.queue_depth,
-            write_buf_limit: self.write_buf_limit,
-        }
-    }
-}
-
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            workers: 4,
-            io_mode: IoMode::Async,
-            max_line_bytes: framing::MAX_REQUEST_LINE_BYTES,
-            idle_timeout_ms: 300_000,
-            write_timeout_ms: 30_000,
-            max_pipeline: 128,
-            queue_depth: 1024,
-            write_buf_limit: 64 << 20,
+            conn: ConnConfig::default(),
             nodes: 2,
             threads: 1,
             chunk_rows: fastbit::par::DEFAULT_CHUNK_ROWS,
@@ -194,7 +99,6 @@ pub struct ServerState {
     queries: Arc<QueryCache>,
     metrics: ServerMetrics,
     conn: ConnMetrics,
-    io_mode: IoMode,
     registry: Arc<obs::Registry>,
     tracer: Arc<obs::Tracer>,
     started: Instant,
@@ -221,11 +125,6 @@ impl ServerState {
     /// The connection-layer metrics (accepted/open/errors/admission).
     pub fn conn_metrics(&self) -> &ConnMetrics {
         &self.conn
-    }
-
-    /// The connection layer this server runs.
-    pub fn io_mode(&self) -> IoMode {
-        self.io_mode
     }
 
     /// True once a graceful shutdown has been requested.
@@ -565,7 +464,6 @@ impl ServerState {
         ServerMetrics::append_op_fields(&mut fields, "metrics", &self.metrics.metrics);
         ServerMetrics::append_op_fields(&mut fields, "trace", &self.metrics.trace);
         ServerMetrics::append_op_fields(&mut fields, "slowlog", &self.metrics.slowlog);
-        fields.push(format!("io_mode={}", self.io_mode));
         fields.push(format!("connections_accepted={}", self.conn.accepted()));
         fields.push(format!("connections_open={}", self.conn.open()));
         fields.push(format!("connection_errors={}", self.conn.errors()));
@@ -687,7 +585,6 @@ impl Server {
             queries,
             metrics,
             conn,
-            io_mode: config.io_mode,
             registry,
             tracer,
             started,
@@ -715,12 +612,7 @@ impl Server {
 
     /// Serve until shutdown is requested, then drain workers and return.
     pub fn run(self) -> std::io::Result<()> {
-        crate::service::run_listener(
-            self.listener,
-            self.state,
-            self.config.io_mode,
-            &self.config.conn(),
-        )
+        crate::event_loop::run(self.listener, self.state, &self.config.conn)
     }
 
     /// Run on a background thread, returning the control handle and the
@@ -760,7 +652,10 @@ mod tests {
             catalog,
             "127.0.0.1:0",
             ServerConfig {
-                workers: 2,
+                conn: ConnConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
                 dataset_cache: DatasetCacheConfig {
                     max_bytes: 64 << 20,
                     shards: 2,

@@ -2,28 +2,21 @@
 //! cluster router.
 //!
 //! Both [`crate::Server`] and the scatter-gather router
-//! ([`crate::cluster::Router`]) speak the same line protocol over the same
-//! two connection layers — the blocking worker pool and the
-//! [`crate::event_loop`] reactor. This module is the seam between "what a
-//! request line means" and "how bytes move": anything implementing
-//! [`LineService`] can be served by either layer through `run_listener`,
-//! with capped framing, idle/write-stall timeouts, pipelining, admission
-//! control and [`ConnMetrics`] accounting all handled here — so the router
-//! inherits the hardened connection machinery instead of reimplementing it.
+//! ([`crate::cluster::Router`]) speak the same line protocol through the
+//! same connection layer, the [`crate::event_loop`] reactor. This module is
+//! the seam between "what a request line means" and "how bytes move":
+//! anything implementing [`LineService`] is served by the event loop, with
+//! capped framing, idle/write-stall timeouts, pipelining, admission control
+//! and [`ConnMetrics`] accounting all handled there — so the router inherits the hardened connection
+//! machinery instead of reimplementing it. [`ConnConfig`] holds the
+//! transport limits and their defaults for both.
 
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::{mpsc, Arc};
-
-use parking_lot::Mutex;
-
-use crate::framing::{self, LineRead};
+use crate::framing;
 use crate::metrics::ConnMetrics;
-use crate::server::IoMode;
 
-/// A request-line handler servable by either connection layer.
+/// A request-line handler servable by the connection layer.
 ///
-/// Implementations must be cheap to call concurrently: both layers invoke
+/// Implementations must be cheap to call concurrently: the layer invokes
 /// [`LineService::handle_line`] from a pool of worker threads.
 pub trait LineService: Send + Sync + 'static {
     /// Serve one request line; returns the reply and whether the connection
@@ -38,27 +31,30 @@ pub trait LineService: Send + Sync + 'static {
     fn shutdown_requested(&self) -> bool;
 }
 
-/// Connection-layer limits shared by both io-modes — the transport subset
-/// of [`crate::ServerConfig`], reused verbatim by the cluster router's
-/// [`crate::cluster::RouterConfig`].
+/// Connection-layer limits: the transport settings of both
+/// [`crate::ServerConfig`] and [`crate::cluster::RouterConfig`].
 #[derive(Debug, Clone)]
 pub struct ConnConfig {
     /// Worker threads serving request lines (at least 1).
     pub workers: usize,
-    /// Hard cap on one request line in bytes (newline excluded).
+    /// Hard cap on one request line in bytes (newline excluded). An
+    /// oversized line is answered with `ERR line too long …` and the
+    /// connection closes.
     pub max_line_bytes: usize,
-    /// Close connections idle longer than this (milliseconds); `0` disables.
+    /// Close connections idle longer than this (milliseconds) with a typed
+    /// `ERR idle timeout …` reply; `0` disables the idle timeout.
     pub idle_timeout_ms: u64,
     /// Close connections whose peer accepts no reply bytes for this long
-    /// (milliseconds); `0` disables.
+    /// (milliseconds); `0` disables the write-stall timeout.
     pub write_timeout_ms: u64,
-    /// Pipelining depth per connection (async mode; at least 1).
+    /// Pipelining depth: complete request lines buffered per connection
+    /// before the reactor pauses reading from it (at least 1).
     pub max_pipeline: usize,
-    /// Admission control: dispatched-but-unfinished requests across all
-    /// connections before `ERR busy` (async mode; at least 1).
+    /// Admission control: requests dispatched-but-unfinished across all
+    /// connections before new ones are refused with `ERR busy` (at least 1).
     pub queue_depth: usize,
-    /// Hard cap on one connection's buffered unsent reply bytes (async
-    /// mode).
+    /// Hard cap on one connection's buffered unsent reply bytes; a peer
+    /// that reads slower than it queries is disconnected at this point.
     pub write_buf_limit: usize,
 }
 
@@ -74,128 +70,4 @@ impl Default for ConnConfig {
             write_buf_limit: 64 << 20,
         }
     }
-}
-
-/// Serve `listener` with `service` through the connection layer picked by
-/// `io_mode`, until the service requests shutdown. This is the shared body
-/// of [`crate::Server::run`] and [`crate::cluster::Router::run`].
-pub(crate) fn run_listener<S: LineService>(
-    listener: TcpListener,
-    service: Arc<S>,
-    io_mode: IoMode,
-    config: &ConnConfig,
-) -> std::io::Result<()> {
-    match io_mode {
-        IoMode::Threaded => run_threaded(listener, service, config),
-        IoMode::Async => crate::event_loop::run(listener, service, config),
-    }
-}
-
-/// The historical connection layer: a fixed worker pool, one blocked worker
-/// per in-flight connection.
-fn run_threaded<S: LineService>(
-    listener: TcpListener,
-    service: Arc<S>,
-    config: &ConnConfig,
-) -> std::io::Result<()> {
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers: Vec<_> = (0..config.workers.max(1))
-        .map(|_| {
-            let rx = Arc::clone(&rx);
-            let service = Arc::clone(&service);
-            let config = config.clone();
-            std::thread::spawn(move || loop {
-                // Take the next connection, releasing the lock before
-                // serving it so other workers keep draining the queue.
-                let next = rx.lock().recv();
-                match next {
-                    Ok(stream) => serve_connection(&*service, stream, &config),
-                    Err(_) => break,
-                }
-            })
-        })
-        .collect();
-
-    for stream in listener.incoming() {
-        if service.shutdown_requested() {
-            break;
-        }
-        match stream {
-            Ok(stream) => {
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(_) => continue,
-        }
-    }
-    drop(tx);
-    for worker in workers {
-        let _ = worker.join();
-    }
-    Ok(())
-}
-
-/// Serve one client connection line-by-line until QUIT, EOF, an oversized
-/// line, the idle timeout, or an I/O error — the threaded-mode twin of the
-/// event loop's per-connection state machine, sharing its framing, its
-/// typed `ERR` teardown replies, and its [`ConnMetrics`] accounting.
-fn serve_connection<S: LineService>(service: &S, stream: TcpStream, config: &ConnConfig) {
-    let conn = service.conn_metrics();
-    conn.note_accepted();
-    let timeout = |ms: u64| (ms > 0).then(|| std::time::Duration::from_millis(ms));
-    let _ = stream.set_read_timeout(timeout(config.idle_timeout_ms));
-    let _ = stream.set_write_timeout(timeout(config.write_timeout_ms));
-    let mut reader = match stream.try_clone() {
-        Ok(clone) => BufReader::new(clone),
-        Err(_) => {
-            conn.note_error();
-            conn.note_closed();
-            return;
-        }
-    };
-    let mut writer = BufWriter::new(stream);
-    loop {
-        match framing::read_line_capped(&mut reader, config.max_line_bytes) {
-            Ok(LineRead::Eof) => break,
-            Ok(LineRead::TooLong) => {
-                conn.note_line_too_long();
-                conn.note_error();
-                let reply = framing::line_too_long_reply(config.max_line_bytes);
-                let _ = writeln!(writer, "{reply}").and_then(|()| writer.flush());
-                break;
-            }
-            Ok(LineRead::Line(line)) => {
-                if line.is_empty() {
-                    continue;
-                }
-                let (reply, close) = service.handle_line(&line);
-                if writeln!(writer, "{reply}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    conn.note_error();
-                    break;
-                }
-                if close {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                conn.note_idle_disconnect();
-                let reply = framing::idle_timeout_reply(config.idle_timeout_ms);
-                let _ = writeln!(writer, "{reply}").and_then(|()| writer.flush());
-                break;
-            }
-            Err(_) => {
-                conn.note_error();
-                break;
-            }
-        }
-    }
-    conn.note_closed();
 }

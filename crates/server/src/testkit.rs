@@ -319,7 +319,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::IoMode;
+    use crate::service::ConnConfig;
 
     #[test]
     fn fan_out_returns_results_in_index_order() {
@@ -335,8 +335,10 @@ mod tests {
             2,
             8,
             ServerConfig {
-                workers: 2,
-                io_mode: IoMode::Async,
+                conn: ConnConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         );

@@ -6,7 +6,7 @@
 //! INFO, with predicates, thresholds, and id lists drawn from a
 //! deterministic generator) are replayed in lockstep against a router-led
 //! cluster and a single server, and every reply is compared exactly. The
-//! hostile-input catalog from `io_mode_differential` rides along: parse
+//! hostile-input catalog from `wire_differential` rides along: parse
 //! errors, invalid UTF-8, unknown steps, and framing edge cases must also
 //! come back identical through the router. This suite is the correctness
 //! contract that lets the scatter-gather layer evolve without anyone
@@ -17,7 +17,7 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use vdx_server::testkit::{spawn_cluster, TestCluster};
-use vdx_server::{Client, ConnConfig, IoMode, RouterConfig, ServerConfig};
+use vdx_server::{Client, ConnConfig, RouterConfig, ServerConfig};
 
 const PARTICLES: usize = 300;
 const TIMESTEPS: usize = 5;
@@ -25,15 +25,16 @@ const INDEX_BINS: usize = 8;
 
 fn backend_config() -> ServerConfig {
     ServerConfig {
-        workers: 2,
-        io_mode: IoMode::Async,
+        conn: ConnConfig {
+            workers: 2,
+            ..Default::default()
+        },
         ..Default::default()
     }
 }
 
-fn router_config(io_mode: IoMode) -> RouterConfig {
+fn router_config() -> RouterConfig {
     RouterConfig {
-        io_mode,
         conn: ConnConfig {
             workers: 2,
             ..Default::default()
@@ -44,7 +45,7 @@ fn router_config(io_mode: IoMode) -> RouterConfig {
     }
 }
 
-fn cluster(tag: &str, n_groups: usize, router_io: IoMode) -> TestCluster {
+fn cluster(tag: &str, n_groups: usize) -> TestCluster {
     spawn_cluster(
         tag,
         PARTICLES,
@@ -53,7 +54,7 @@ fn cluster(tag: &str, n_groups: usize, router_io: IoMode) -> TestCluster {
         n_groups,
         1,
         backend_config(),
-        router_config(router_io),
+        router_config(),
     )
 }
 
@@ -174,8 +175,8 @@ fn drive_lockstep(seed: u64, router: &mut Client, oracle: &mut Client) -> usize 
     compared
 }
 
-fn run_seeded(tag: &str, n_groups: usize, router_io: IoMode, seeds: &[u64]) {
-    let cluster = cluster(tag, n_groups, router_io);
+fn run_seeded(tag: &str, n_groups: usize, seeds: &[u64]) {
+    let cluster = cluster(tag, n_groups);
     let oracle = cluster.spawn_oracle(backend_config());
     for &seed in seeds {
         let mut router = Client::connect(cluster.addr()).expect("connect router");
@@ -191,21 +192,16 @@ fn run_seeded(tag: &str, n_groups: usize, router_io: IoMode, seeds: &[u64]) {
 
 #[test]
 fn seeded_conversations_match_on_a_3_shard_cluster() {
-    run_seeded("cdiff_3s_async", 3, IoMode::Async, &[1, 2, 3]);
-}
-
-#[test]
-fn seeded_conversations_match_through_a_threaded_router() {
-    run_seeded("cdiff_3s_threaded", 3, IoMode::Threaded, &[4, 5]);
+    run_seeded("cdiff_3s", 3, &[1, 2, 3, 4, 5]);
 }
 
 #[test]
 fn seeded_conversations_match_on_a_1_shard_cluster() {
-    run_seeded("cdiff_1s_async", 1, IoMode::Async, &[6, 7]);
+    run_seeded("cdiff_1s", 1, &[6, 7]);
 }
 
 /// The deterministic hostile-input catalog (modeled on
-/// `io_mode_differential::deterministic_lines`): parse errors, invalid
+/// `wire_differential::deterministic_lines`): parse errors, invalid
 /// UTF-8 in expressions and verbs, unknown steps and columns — every reply
 /// byte-identical through the router.
 fn hostile_lines() -> Vec<Vec<u8>> {
@@ -259,7 +255,7 @@ fn connect_raw(addr: SocketAddr) -> TcpStream {
 
 #[test]
 fn hostile_lines_reply_byte_identical_through_the_router() {
-    let cluster = cluster("cdiff_hostile", 3, IoMode::Async);
+    let cluster = cluster("cdiff_hostile", 3);
     let oracle = cluster.spawn_oracle(backend_config());
     let lines = hostile_lines();
 
@@ -300,7 +296,7 @@ fn hostile_lines_reply_byte_identical_through_the_router() {
 /// side produces must match.
 #[test]
 fn conversation_transcripts_match_through_the_router() {
-    let cluster = cluster("cdiff_transcript", 3, IoMode::Async);
+    let cluster = cluster("cdiff_transcript", 3);
     let oracle = cluster.spawn_oracle(backend_config());
 
     let conversations: Vec<&[u8]> = vec![

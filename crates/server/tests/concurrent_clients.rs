@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use datastore::DatasetCacheConfig;
 use lwfa::SimConfig;
 use vdx_core::{DataExplorer, ExplorerConfig};
-use vdx_server::{parse_stats, protocol, testkit, Client, IoMode, Server, ServerConfig};
+use vdx_server::{parse_stats, protocol, testkit, Client, ConnConfig, Server, ServerConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vdx_server_it_{tag}_{}", std::process::id()));
@@ -126,20 +126,10 @@ fn scripted_workload(fx: &Fixture) -> Vec<(String, String)> {
     out
 }
 
+/// The whole acceptance scenario over the event-loop connection layer.
 #[test]
 fn concurrent_clients_get_exact_results_and_caches_behave_async() {
-    concurrent_clients_get_exact_results_and_caches_behave(IoMode::Async, "concurrent_async");
-}
-
-#[test]
-fn concurrent_clients_get_exact_results_and_caches_behave_threaded() {
-    concurrent_clients_get_exact_results_and_caches_behave(IoMode::Threaded, "concurrent_thr");
-}
-
-/// The whole acceptance scenario, parameterized over the connection layer:
-/// both io-modes must satisfy every property, byte-identically.
-fn concurrent_clients_get_exact_results_and_caches_behave(io_mode: IoMode, tag: &str) {
-    let fx = fixture(tag);
+    let fx = fixture("concurrent_async");
     let workload = scripted_workload(&fx);
 
     // The workload touches three distinct steps; two land in the same shard.
@@ -157,8 +147,10 @@ fn concurrent_clients_get_exact_results_and_caches_behave(io_mode: IoMode, tag: 
         fx.explorer.catalog_arc(),
         "127.0.0.1:0",
         ServerConfig {
-            workers: 8,
-            io_mode,
+            conn: ConnConfig {
+                workers: 8,
+                ..Default::default()
+            },
             dataset_cache: DatasetCacheConfig {
                 max_bytes: budget,
                 shards: 2,

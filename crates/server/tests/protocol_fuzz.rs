@@ -14,7 +14,7 @@ use datastore::Catalog;
 use histogram::Binning;
 use lwfa::{SimConfig, Simulation};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use vdx_server::{IoMode, Server, ServerConfig};
+use vdx_server::{ConnConfig, Server, ServerConfig};
 
 fn tiny_catalog(tag: &str) -> (Arc<Catalog>, PathBuf) {
     let dir = std::env::temp_dir().join(format!("vdx_fuzz_{tag}_{}", std::process::id()));
@@ -29,20 +29,21 @@ fn tiny_catalog(tag: &str) -> (Arc<Catalog>, PathBuf) {
     (Arc::new(catalog), dir)
 }
 
-fn parallel_server(tag: &str, io_mode: IoMode) -> (Server, PathBuf) {
-    let (catalog, dir) = tiny_catalog(tag);
-    let server = Server::bind(
-        catalog,
-        "127.0.0.1:0",
-        ServerConfig {
+fn parallel_config() -> ServerConfig {
+    ServerConfig {
+        conn: ConnConfig {
             workers: 2,
-            threads: 2,
-            chunk_rows: 64,
-            io_mode,
             ..Default::default()
         },
-    )
-    .unwrap();
+        threads: 2,
+        chunk_rows: 64,
+        ..Default::default()
+    }
+}
+
+fn parallel_server(tag: &str) -> (Server, PathBuf) {
+    let (catalog, dir) = tiny_catalog(tag);
+    let server = Server::bind(catalog, "127.0.0.1:0", parallel_config()).unwrap();
     (server, dir)
 }
 
@@ -111,7 +112,7 @@ fn hostile_lines(seed: u64, count: usize) -> Vec<String> {
 
 #[test]
 fn hostile_lines_never_panic_and_always_reply_in_protocol() {
-    let (server, dir) = parallel_server("handle_line", IoMode::Async);
+    let (server, dir) = parallel_server("handle_line");
     let handle = server.handle();
     let state = handle.state();
     for (i, line) in hostile_lines(0xF00D, 400).iter().enumerate() {
@@ -128,20 +129,11 @@ fn hostile_lines_never_panic_and_always_reply_in_protocol() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The hostile TCP session: the event loop answers every hostile line in
+/// protocol without hanging.
 #[test]
 fn hostile_tcp_session_gets_error_replies_not_hangs_async() {
-    hostile_tcp_session_gets_error_replies_not_hangs(IoMode::Async, "tcp_async");
-}
-
-#[test]
-fn hostile_tcp_session_gets_error_replies_not_hangs_threaded() {
-    hostile_tcp_session_gets_error_replies_not_hangs(IoMode::Threaded, "tcp_thr");
-}
-
-/// The hostile TCP session, parameterized over the connection layer: both
-/// io-modes must answer every hostile line in protocol without hanging.
-fn hostile_tcp_session_gets_error_replies_not_hangs(io_mode: IoMode, tag: &str) {
-    let (server, dir) = parallel_server(tag, io_mode);
+    let (server, dir) = parallel_server("tcp_async");
     let (handle, join) = server.spawn();
     let stream = TcpStream::connect(handle.addr()).unwrap();
     stream
@@ -182,17 +174,7 @@ fn hostile_tcp_session_gets_error_replies_not_hangs(io_mode: IoMode, tag: &str) 
 #[test]
 fn stats_roundtrip_reports_parallel_thread_metrics() {
     let (catalog, dir) = tiny_catalog("stats");
-    let server = Server::bind(
-        Arc::clone(&catalog),
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 2,
-            threads: 2,
-            chunk_rows: 64,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let server = Server::bind(Arc::clone(&catalog), "127.0.0.1:0", parallel_config()).unwrap();
     let handle = server.handle();
     let state = handle.state();
 
