@@ -23,8 +23,12 @@
 //! regardless of how many backend requests the scatter-gather layer
 //! absorbed, so the same client==server identity holds on a cluster.
 //!
+//! Every flag's value must parse (`--mix` wants three weights with a
+//! nonzero total), and a flag the usage line does not name is refused.
+//!
 //! Exit status: `0` all SLOs pass and counts reconcile; `1` an SLO was
-//! violated; `2` client/server counts diverged or the run itself failed.
+//! violated; `2` the arguments were refused, client/server counts diverged
+//! or the run itself failed.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -33,6 +37,7 @@ use std::time::Duration;
 
 use vdx_bench::catalog_workload;
 use vdx_bench::workload::{self, SessionMix, SessionSpace, SloSet, WorkloadConfig};
+use vdx_server::cli::{check_args, optional_flag, parsed_flag};
 use vdx_server::testkit::spawn_cluster;
 use vdx_server::{Client, ConnConfig, RouterConfig, Server, ServerConfig};
 
@@ -52,56 +57,30 @@ struct Args {
     json: String,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1).cloned())
-    };
-    let mix = get("--mix")
-        .map(|v| {
-            let parts: Vec<u32> = v.split(':').filter_map(|s| s.parse().ok()).collect();
-            assert_eq!(parts.len(), 3, "--mix wants BROWSE:DRILL:TRACKER weights");
-            SessionMix {
-                browse: parts[0],
-                drill_down: parts[1],
-                tracker: parts[2],
-            }
-        })
-        .unwrap_or_default();
+const USAGE: &str = "vdx-workload [--addr HOST:PORT] [--particles N] [--timesteps N] [--workers N] [--queue-depth N] [--shards N] [--replicas R] [--sessions N] [--arrival-rps F] [--think-ms F] [--seed N] [--mix B:D:T] [--out DIR] [--json NAME]";
+
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    check_args(USAGE, argv)?;
     let defaults = ConnConfig::default();
-    Args {
-        addr: get("--addr").map(|v| v.parse().expect("--addr HOST:PORT")),
-        particles: get("--particles")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8_000),
-        timesteps: get("--timesteps").and_then(|v| v.parse().ok()).unwrap_or(6),
+    Ok(Args {
+        addr: optional_flag(argv, "--addr")?,
+        particles: parsed_flag(argv, "--particles", 8_000)?,
+        timesteps: parsed_flag(argv, "--timesteps", 6)?,
         conn: ConnConfig {
-            workers: get("--workers")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(defaults.workers),
-            queue_depth: get("--queue-depth")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(defaults.queue_depth),
+            workers: parsed_flag(argv, "--workers", defaults.workers)?,
+            queue_depth: parsed_flag(argv, "--queue-depth", defaults.queue_depth)?,
             ..defaults
         },
-        shards: get("--shards").and_then(|v| v.parse().ok()).unwrap_or(0),
-        replicas: get("--replicas").and_then(|v| v.parse().ok()).unwrap_or(1),
-        sessions: get("--sessions").and_then(|v| v.parse().ok()).unwrap_or(40),
-        arrival_rps: get("--arrival-rps")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(40.0),
-        think_ms: get("--think-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4.0),
-        seed: get("--seed").and_then(|v| v.parse().ok()).unwrap_or(42),
-        mix,
-        out: get("--out")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("experiments")),
-        json: get("--json").unwrap_or_else(|| "BENCH_workload_mixed.json".to_string()),
-    }
+        shards: parsed_flag(argv, "--shards", 0)?,
+        replicas: parsed_flag(argv, "--replicas", 1)?,
+        sessions: parsed_flag(argv, "--sessions", 40)?,
+        arrival_rps: parsed_flag(argv, "--arrival-rps", 40.0)?,
+        think_ms: parsed_flag(argv, "--think-ms", 4.0)?,
+        seed: parsed_flag(argv, "--seed", 42)?,
+        mix: parsed_flag(argv, "--mix", SessionMix::default())?,
+        out: parsed_flag(argv, "--out", PathBuf::from("experiments"))?,
+        json: parsed_flag(argv, "--json", "BENCH_workload_mixed.json".to_string())?,
+    })
 }
 
 /// Ask the server which timesteps it serves (`INFO` reply field 3).
@@ -121,7 +100,14 @@ fn discover_steps(addr: SocketAddr) -> Vec<usize> {
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("vdx-workload: {message}");
+            std::process::exit(2);
+        }
+    };
 
     // Self-host unless pointed at an external server.
     let mut hosted = None;

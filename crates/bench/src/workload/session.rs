@@ -77,6 +77,27 @@ impl Default for SessionMix {
     }
 }
 
+impl std::str::FromStr for SessionMix {
+    type Err = ();
+
+    /// Parse `BROWSE:DRILL:TRACKER` weights; the total must be nonzero.
+    fn from_str(s: &str) -> Result<Self, ()> {
+        let weights: Vec<u32> = s
+            .split(':')
+            .map(str::parse)
+            .collect::<Result<_, _>>()
+            .map_err(|_| ())?;
+        match weights[..] {
+            [browse, drill_down, tracker] if weights.iter().any(|&w| w > 0) => Ok(Self {
+                browse,
+                drill_down,
+                tracker,
+            }),
+            _ => Err(()),
+        }
+    }
+}
+
 impl SessionMix {
     /// Draw one kind proportionally to the weights (total must be > 0).
     pub fn sample(&self, rng: &mut StdRng) -> SessionKind {

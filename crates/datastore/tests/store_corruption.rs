@@ -374,6 +374,59 @@ fn hostile_range_sections_with_recomputed_checksums_hit_the_validators() {
 }
 
 #[test]
+fn non_canonical_range_bitmaps_with_recomputed_checksums_are_rejected() {
+    // Re-encode one one-group fill word of the range payload as the
+    // equivalent literal (all-zero or all-one), CRCs recomputed: the
+    // section still decodes to the true cumulative bits and passes the
+    // structural WAH checks, but it is not the canonical word stream, and
+    // the word-exact attach check rejects it.
+    let bytes = segment_bytes_v2();
+    let table = section_table(&bytes);
+    let range_idx = table.iter().position(|&(kind, _, _)| kind == 6).unwrap();
+    let (_, off, len) = table[range_idx];
+    let (start, end) = (off as usize, (off + len) as usize);
+    let read_u32 = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+    let bitmaps_at = start + 4 + read_u32(&bytes, start) as usize;
+
+    let mut patched = bytes.clone();
+    let mut at = bitmaps_at + 4;
+    let mut mutated = false;
+    'bitmaps: for _ in 0..read_u32(&bytes, bitmaps_at) {
+        at += 8; // wah bit length (u64)
+        let word_count = read_u32(&patched, at) as usize;
+        at += 4;
+        for w in 0..word_count {
+            let pos = at + w * 4;
+            let literal = match read_u32(&patched, pos) {
+                0x8000_0001 => 0u32,
+                0xC000_0001 => 0x7FFF_FFFF,
+                _ => continue,
+            };
+            patched[pos..pos + 4].copy_from_slice(&literal.to_le_bytes());
+            mutated = true;
+            break 'bitmaps;
+        }
+        at += word_count * 4;
+    }
+    assert!(mutated, "no one-group fill word in the range payload");
+
+    let original = fastbit::persist::decode_range_bitmaps(&bytes[bitmaps_at..end]).unwrap();
+    let reencoded = fastbit::persist::decode_range_bitmaps(&patched[bitmaps_at..end])
+        .expect("the re-encoding is structurally valid");
+    assert_ne!(original, reencoded, "the words changed");
+    for (o, r) in original.iter().zip(&reencoded) {
+        assert_eq!(o.len(), r.len());
+        assert!(o.iter_ones().eq(r.iter_ones()), "the bits did not change");
+    }
+
+    fix_section_crc(&mut patched, range_idx);
+    match decode_segment(&patched) {
+        Err(StoreError::Corrupt(msg)) => assert!(msg.contains("canonical cumulative OR"), "{msg}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
 fn v2_segments_roundtrip_with_range_encodings_attached() {
     let bytes = segment_bytes_v2();
     let decoded = decode_segment(&bytes).expect("v2 decodes");

@@ -369,9 +369,8 @@ impl BitmapIndex {
     /// canonical form [`BitmapIndex::build_range_encoding`] produces — so a
     /// checksum-valid but semantically wrong section can never silently
     /// change query answers; it is rejected here with a typed error. The
-    /// check costs one WAH OR per bin, the same as rebuilding, which stays
-    /// cheap for exactly the bitmaps the store's materialization budget
-    /// admits.
+    /// check streams each OR through [`Wah::is_or_of`]: one run-by-run walk
+    /// per bin, stopping at the first wrong word and allocating no OR.
     pub fn attach_range_bitmaps(&mut self, cumulative: Vec<Wah>) -> Result<()> {
         if cumulative.len() != self.bitmaps.len() {
             return Err(FastBitError::Binning(
@@ -388,12 +387,12 @@ impl BitmapIndex {
                     right: c.len(),
                 });
             }
-            let expected = if i == 0 {
-                Wah::zeros(self.num_rows as u64).or(&self.bitmaps[0])?
+            let canonical = if i == 0 {
+                c.is_or_of(&Wah::zeros(self.num_rows as u64), &self.bitmaps[0])
             } else {
-                cumulative[i - 1].or(&self.bitmaps[i])?
+                c.is_or_of(&cumulative[i - 1], &self.bitmaps[i])
             };
-            if *c != expected {
+            if !canonical {
                 return Err(FastBitError::Execution(format!(
                     "range bitmap {i} does not equal the canonical cumulative OR of bins 0..={i}"
                 )));

@@ -57,7 +57,7 @@ impl WahBuilder {
             let g = self.current;
             self.current = 0;
             self.filled = 0;
-            self.append_group(g);
+            append_group(&mut self.words, g);
         }
     }
 
@@ -71,49 +71,12 @@ impl WahBuilder {
         }
         let full_groups = count / GROUP_BITS;
         if full_groups > 0 {
-            self.append_fill(bit, full_groups);
+            append_fill(&mut self.words, bit, full_groups);
             self.nbits += full_groups * GROUP_BITS;
             count -= full_groups * GROUP_BITS;
         }
         for _ in 0..count {
             self.push_bit(bit);
-        }
-    }
-
-    fn append_fill(&mut self, bit: bool, mut groups: u64) {
-        while groups > 0 {
-            let chunk = groups.min(FILL_COUNT_MASK as u64) as u32;
-            let value_flag = if bit { FILL_ONE_FLAG } else { 0 };
-            // Coalesce with an existing trailing fill of the same value.
-            if let Some(last) = self.words.last_mut() {
-                if *last & FILL_FLAG != 0 && (*last & FILL_ONE_FLAG) == value_flag {
-                    let existing = *last & FILL_COUNT_MASK;
-                    let room = FILL_COUNT_MASK - existing;
-                    let add = chunk.min(room);
-                    *last += add;
-                    groups -= add as u64;
-                    if add == chunk {
-                        continue;
-                    } else {
-                        let rest = chunk - add;
-                        self.words.push(FILL_FLAG | value_flag | rest);
-                        groups -= rest as u64;
-                        continue;
-                    }
-                }
-            }
-            self.words.push(FILL_FLAG | value_flag | chunk);
-            groups -= chunk as u64;
-        }
-    }
-
-    fn append_group(&mut self, group: u32) {
-        if group == 0 {
-            self.append_fill(false, 1);
-        } else if group == LITERAL_MASK {
-            self.append_fill(true, 1);
-        } else {
-            self.words.push(group);
         }
     }
 
@@ -129,6 +92,144 @@ impl WahBuilder {
         Wah {
             words: self.words,
             nbits: self.nbits,
+        }
+    }
+}
+
+/// Where a stream of WAH words goes: a vector being built, or a
+/// [`WordCheck`] comparing the stream with an existing vector as it is
+/// produced. Both see exactly the same pushes and in-place fill extensions.
+trait WordSink {
+    /// The most recently pushed word, which a following fill may extend.
+    fn last_mut(&mut self) -> Option<&mut u32>;
+    fn push(&mut self, word: u32);
+    /// False once the outcome is settled (a checker's first mismatch), so
+    /// producers can stop early.
+    fn wants_more(&self) -> bool {
+        true
+    }
+}
+
+impl WordSink for Vec<u32> {
+    fn last_mut(&mut self) -> Option<&mut u32> {
+        self.as_mut_slice().last_mut()
+    }
+
+    fn push(&mut self, word: u32) {
+        Vec::push(self, word);
+    }
+}
+
+/// Compares a produced word stream with `expected` without storing it.
+/// Only the last produced word can still change (a fill may be extended),
+/// so a word is compared as soon as its successor is pushed.
+struct WordCheck<'a> {
+    expected: &'a [u32],
+    compared: usize,
+    last: Option<u32>,
+    equal: bool,
+}
+
+impl<'a> WordCheck<'a> {
+    fn new(expected: &'a [u32]) -> Self {
+        Self {
+            expected,
+            compared: 0,
+            last: None,
+            equal: true,
+        }
+    }
+
+    /// True when the whole produced stream equals `expected`.
+    fn matches(self) -> bool {
+        self.equal
+            && match self.last {
+                None => self.expected.is_empty(),
+                Some(w) => {
+                    self.expected.len() == self.compared + 1 && self.expected[self.compared] == w
+                }
+            }
+    }
+}
+
+impl WordSink for WordCheck<'_> {
+    fn last_mut(&mut self) -> Option<&mut u32> {
+        self.last.as_mut()
+    }
+
+    fn push(&mut self, word: u32) {
+        if let Some(done) = self.last.replace(word) {
+            self.equal &= self.expected.get(self.compared) == Some(&done);
+            self.compared += 1;
+        }
+    }
+
+    fn wants_more(&self) -> bool {
+        self.equal
+    }
+}
+
+/// Append `groups` fill groups of `bit`, coalescing with a trailing fill of
+/// the same value and splitting counts at [`FILL_COUNT_MASK`].
+fn append_fill(sink: &mut impl WordSink, bit: bool, mut groups: u64) {
+    let value_flag = if bit { FILL_ONE_FLAG } else { 0 };
+    while groups > 0 {
+        let chunk = groups.min(FILL_COUNT_MASK as u64) as u32;
+        // Coalesce with an existing trailing fill of the same value.
+        if let Some(last) = sink.last_mut() {
+            if *last & FILL_FLAG != 0 && (*last & FILL_ONE_FLAG) == value_flag {
+                let existing = *last & FILL_COUNT_MASK;
+                let add = chunk.min(FILL_COUNT_MASK - existing);
+                *last += add;
+                groups -= add as u64;
+                let rest = chunk - add;
+                if rest > 0 {
+                    sink.push(FILL_FLAG | value_flag | rest);
+                    groups -= rest as u64;
+                }
+                continue;
+            }
+        }
+        sink.push(FILL_FLAG | value_flag | chunk);
+        groups -= chunk as u64;
+    }
+}
+
+/// Append one 31-bit group: all-zero and all-one groups become fills.
+fn append_group(sink: &mut impl WordSink, group: u32) {
+    if group == 0 {
+        append_fill(sink, false, 1);
+    } else if group == LITERAL_MASK {
+        append_fill(sink, true, 1);
+    } else {
+        sink.push(group);
+    }
+}
+
+/// Combine two word streams run by run with `op`, writing the canonical
+/// result words to `sink`. Stops early when the sink no longer wants words.
+fn combine_into(a: &[u32], b: &[u32], op: fn(u32, u32) -> u32, sink: &mut impl WordSink) {
+    let mut a = RunCursor::new(a);
+    let mut b = RunCursor::new(b);
+    while sink.wants_more() {
+        let (ga, gb) = match (a.peek_groups(), b.peek_groups()) {
+            (Some(ga), Some(gb)) => (ga, gb),
+            // Both operands cover the same number of groups; stop as soon
+            // as either side runs out.
+            _ => break,
+        };
+        let n = ga.min(gb);
+        let (pa, _, fa) = a.take(n).expect("peeked");
+        let (pb, _, fb) = b.take(n).expect("peeked");
+        let combined = op(pa, pb) & LITERAL_MASK;
+        if fa && fb && (combined == 0 || combined == LITERAL_MASK) {
+            // Both sides are fills: emit the whole run at once. (A bitwise
+            // op of all-zero/all-one patterns is itself one of the two.)
+            append_fill(sink, combined != 0, n);
+        } else {
+            for _ in 0..n {
+                append_group(sink, combined);
+            }
         }
     }
 }
@@ -360,7 +461,7 @@ impl Wah {
                 } else {
                     flipped
                 };
-                builder.append_group(g);
+                append_group(&mut builder.words, g);
             }
         }
         builder.nbits = self.nbits;
@@ -376,47 +477,26 @@ impl Wah {
                 right: other.nbits,
             });
         }
-        let mut a = RunCursor::new(&self.words);
-        let mut b = RunCursor::new(&other.words);
-        let mut builder = WahBuilder::new();
-        loop {
-            let (ga, gb) = match (a.peek_groups(), b.peek_groups()) {
-                (Some(ga), Some(gb)) => (ga, gb),
-                (None, None) => break,
-                // Both operands cover the same number of bits, but the last
-                // partial group may be represented on one side only when the
-                // length is an exact multiple of 31 on the other; treat the
-                // missing side as zero groups exhausted simultaneously.
-                _ => break,
-            };
-            let n = ga.min(gb);
-            let (pa, _, fa) = a.take(n).expect("peeked");
-            let (pb, _, fb) = b.take(n).expect("peeked");
-            let combined = op(pa, pb) & LITERAL_MASK;
-            if fa && fb {
-                // Both sides are fills: emit the whole run at once.
-                if combined == 0 {
-                    builder.append_fill(false, n);
-                } else if combined == LITERAL_MASK {
-                    builder.append_fill(true, n);
-                } else {
-                    // Cannot happen: a fill pattern is all-zero or all-one,
-                    // and any bitwise op of such patterns is too.
-                    for _ in 0..n {
-                        builder.append_group(combined);
-                    }
-                }
-                builder.nbits += n * GROUP_BITS;
-            } else {
-                for _ in 0..n {
-                    builder.append_group(combined);
-                    builder.nbits += GROUP_BITS;
-                }
-            }
+        let mut words = Vec::new();
+        combine_into(&self.words, &other.words, op, &mut words);
+        Ok(Wah {
+            words,
+            nbits: self.nbits,
+        })
+    }
+
+    /// True exactly when `a.or(b)` succeeds and equals `self` word for word.
+    ///
+    /// The OR's word stream is produced as [`Wah::or`] produces it and
+    /// compared with `self` on the fly: nothing is allocated, and the walk
+    /// stops at the first differing word.
+    pub fn is_or_of(&self, a: &Wah, b: &Wah) -> bool {
+        if a.nbits != b.nbits || self.nbits != a.nbits {
+            return false;
         }
-        let mut result = builder.finish();
-        result.nbits = self.nbits;
-        Ok(result)
+        let mut check = WordCheck::new(&self.words);
+        combine_into(&a.words, &b.words, |x, y| x | y, &mut check);
+        check.matches()
     }
 
     /// Expand into a dense little-endian `u64` word bitmap: bit `i` of the

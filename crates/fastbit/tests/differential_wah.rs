@@ -170,3 +170,172 @@ fn wah_random_sparse_stride_patterns_match_bitvec() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// `Wah::is_or_of`: the streamed cumulative check must accept exactly the
+// vectors that equal the materialised OR word for word.
+// ---------------------------------------------------------------------------
+
+const FILL_FLAG: u32 = 0x8000_0000;
+const FILL_ONE_FLAG: u32 = 0x4000_0000;
+const FILL_COUNT_MASK: u32 = 0x3FFF_FFFF;
+const LITERAL_MASK: u32 = 0x7FFF_FFFF;
+
+/// Bit lengths around the group boundary plus a large, odd one.
+const OR_LENGTHS: [u64; 8] = [0, 1, 30, 31, 32, 62, 1000, 100_003];
+
+fn bits_with(len: u64, rng: &mut StdRng, kind: &str) -> Vec<bool> {
+    match kind {
+        "sparse" => (0..len).map(|_| rng.gen_range(0.0..1.0) < 0.01).collect(),
+        "dense" => (0..len).map(|_| rng.gen_range(0.0..1.0) < 0.99).collect(),
+        _ => {
+            // Runny: alternating runs of up to a few hundred bits.
+            let mut bits = Vec::with_capacity(len as usize);
+            let mut bit = rng.gen_range(0..2u32) == 1;
+            while (bits.len() as u64) < len {
+                let run = rng.gen_range(1..400u64).min(len - bits.len() as u64);
+                bits.extend(std::iter::repeat_n(bit, run as usize));
+                bit = !bit;
+            }
+            bits
+        }
+    }
+}
+
+/// `c.is_or_of(a, b)` must agree with the materialised comparison
+/// `a.or(b).unwrap() == c` (`or` is that OR, computed once).
+fn assert_is_or_of_agrees(c: &Wah, a: &Wah, b: &Wah, or: &Wah, what: &str) -> bool {
+    let expected = *or == *c;
+    assert_eq!(c.is_or_of(a, b), expected, "{what}");
+    expected
+}
+
+/// Every single-word mutation of `c`: each word with bit 0, bit 30 (fill
+/// value) or bit 31 (fill flag) flipped, plus a dropped and an extra word.
+fn single_word_mutations(c: &Wah) -> Vec<Wah> {
+    let words = c.as_words();
+    let mut out = Vec::new();
+    for i in 0..words.len() {
+        for flip in [1u32, FILL_ONE_FLAG, FILL_FLAG] {
+            let mut w = words.to_vec();
+            w[i] ^= flip;
+            out.push(Wah::from_raw_parts(w, c.len()));
+        }
+    }
+    if let Some((_, head)) = words.split_last() {
+        out.push(Wah::from_raw_parts(head.to_vec(), c.len()));
+    }
+    let mut longer = words.to_vec();
+    longer.push(FILL_FLAG | 1);
+    out.push(Wah::from_raw_parts(longer, c.len()));
+    out
+}
+
+/// Re-encodings of `c` with the same bits that `checked_from_raw_parts`
+/// accepts but that are not canonical: a fill split in two, or one group of
+/// a fill spelled as an all-zero / all-one literal. At most `limit` fill
+/// words are rewritten.
+fn non_canonical_reencodings(c: &Wah, limit: usize) -> Vec<Wah> {
+    let words = c.as_words();
+    let fills: Vec<usize> = (0..words.len())
+        .filter(|&i| words[i] & FILL_FLAG != 0)
+        .collect();
+    let step = fills.len().div_ceil(limit.max(1)).max(1);
+    let mut out = Vec::new();
+    for &i in fills.iter().step_by(step) {
+        let w = words[i];
+        let (flag, count) = (w & !FILL_COUNT_MASK, w & FILL_COUNT_MASK);
+        let literal = if w & FILL_ONE_FLAG != 0 {
+            LITERAL_MASK
+        } else {
+            0
+        };
+        let mut spellings: Vec<Vec<u32>> = vec![vec![literal], vec![literal; 2]];
+        if count >= 2 {
+            spellings.push(vec![flag | 1, flag | (count - 1)]);
+            spellings.push(vec![literal, flag | (count - 1)]);
+            spellings.push(vec![flag | (count - 1), literal]);
+        }
+        for spelling in spellings {
+            let mut re = words[..i].to_vec();
+            re.extend(spelling);
+            re.extend(&words[i + 1..]);
+            if let Ok(wah) = Wah::checked_from_raw_parts(re, c.len()) {
+                assert_eq!(wah.xor(c).unwrap().count_ones(), 0, "same bits");
+                out.push(wah);
+            }
+        }
+    }
+    out
+}
+
+fn check_or_candidates(a: &Wah, b: &Wah, what: &str) {
+    let or = a.or(b).unwrap();
+    assert!(or.is_or_of(a, b), "{what}: the true OR");
+    assert!(or.is_or_of(b, a), "{what}: the true OR, operands swapped");
+    for (k, m) in single_word_mutations(&or).iter().enumerate() {
+        assert_is_or_of_agrees(m, a, b, &or, &format!("{what}: mutation {k}"));
+    }
+    let reencoded = non_canonical_reencodings(&or, 64);
+    for (k, re) in reencoded.iter().enumerate() {
+        assert!(
+            !assert_is_or_of_agrees(re, a, b, &or, &format!("{what}: re-encoding {k}")),
+            "{what}: a non-canonical re-encoding is not the OR"
+        );
+    }
+    if or.as_words().iter().any(|w| w & FILL_FLAG != 0) {
+        assert!(!reencoded.is_empty(), "{what}: fills have re-encodings");
+    }
+    let mismatch = Wah::from_raw_parts(or.as_words().to_vec(), or.len() + 1);
+    assert_is_or_of_agrees(&mismatch, a, b, &or, &format!("{what}: length mismatch"));
+    assert!(
+        !or.is_or_of(a, &Wah::zeros(a.len() + 1)),
+        "{what}: operand lengths differ"
+    );
+}
+
+#[test]
+fn is_or_of_agrees_with_materialised_or() {
+    let mut rng = StdRng::seed_from_u64(0x150F);
+    let kinds = ["sparse", "dense", "runny"];
+    for &len in &OR_LENGTHS {
+        for (i, ka) in kinds.iter().enumerate() {
+            for kb in &kinds[i..] {
+                let a = Wah::from_bools(&bits_with(len, &mut rng, ka));
+                let b = Wah::from_bools(&bits_with(len, &mut rng, kb));
+                check_or_candidates(&a, &b, &format!("{ka} | {kb} at {len} bits"));
+            }
+        }
+    }
+}
+
+#[test]
+fn is_or_of_follows_fill_coalescing_across_the_count_limit() {
+    // Fill-only operands spanning more groups than one fill word can count:
+    // the OR coalesces runs from both sides and must split at the limit.
+    let groups = FILL_COUNT_MASK as u64 + 12;
+    let nbits = groups * 31 - 5;
+    let a = Wah::checked_from_raw_parts(
+        vec![
+            FILL_FLAG | FILL_COUNT_MASK,
+            FILL_FLAG | 7,
+            FILL_FLAG | FILL_ONE_FLAG | 4,
+            0x5,
+        ],
+        nbits,
+    )
+    .unwrap();
+    let b = Wah::checked_from_raw_parts(
+        vec![
+            FILL_FLAG | 3,
+            FILL_FLAG | FILL_COUNT_MASK,
+            FILL_FLAG | 8,
+            0x3FF,
+        ],
+        nbits,
+    )
+    .unwrap();
+    let or = a.or(&b).unwrap();
+    assert!(or.as_words().len() >= 2);
+    check_or_candidates(&a, &b, "fills past the count limit");
+}

@@ -32,12 +32,14 @@
 //!   distributed differential suite; see `docs/CLUSTER.md`).
 //! * [`client::Client`] — a blocking client used by the CLI query mode, the
 //!   CI smoke driver and the tests.
+//! * [`cli`] — the flag parsing `vdx-server` and `vdx-workload` share.
 //! * [`testkit`] — shared test/bench support: tiny generated catalogs,
 //!   disposable servers and concurrent client drivers, reused by this
 //!   crate's integration suites and the `vdx-bench` workload harness.
 
 #![deny(missing_docs)]
 
+pub mod cli;
 pub mod client;
 pub mod cluster;
 pub mod event_loop;

@@ -54,51 +54,13 @@ use std::sync::Arc;
 use datastore::{Catalog, DatasetCacheConfig};
 use histogram::Binning;
 use lwfa::{SimConfig, Simulation};
+use vdx_server::cli::{check_args, flag, parsed_flag};
 use vdx_server::{Client, ConnConfig, Router, RouterConfig, Server, ServerConfig};
 
 const SERVE_USAGE: &str = "serve --dir DIR [--addr A] [--workers N] [--cache-mb MB] [--query-cache N] [--nodes N] [--threads N] [--chunk-rows N] [--index-accel] [--store-dir DIR] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]";
 const ROUTE_USAGE: &str = "route --shard-map FILE.toml [--addr A] [--workers N] [--backend-timeout-ms MS] [--backend-inflight N] [--health-interval-ms MS] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]";
 const QUERY_USAGE: &str = "query --addr HOST:PORT <verb> [field ...]";
 const SMOKE_USAGE: &str = "smoke [--dir DIR] [--store-dir DIR]";
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// The parsed value of flag `name`, or `default` when the flag is absent.
-fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(value) => value
-            .parse()
-            .map_err(|_| format!("{name}: cannot parse `{value}`")),
-    }
-}
-
-/// Check `args` against a usage line: every argument must be a flag the
-/// line names, and a flag shown with a value placeholder (`--dir DIR`,
-/// `[--addr A]`) must be followed by a value.
-fn check_args(usage: &str, args: &[String]) -> Result<(), String> {
-    let tokens: Vec<&str> = usage
-        .split_whitespace()
-        .map(|t| t.trim_start_matches('['))
-        .collect();
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        let at = tokens
-            .iter()
-            .position(|t| arg.starts_with("--") && t.trim_end_matches(']') == arg)
-            .ok_or_else(|| format!("unknown argument `{arg}` (usage: {usage})"))?;
-        let takes_value =
-            !tokens[at].ends_with(']') && tokens.get(at + 1).is_some_and(|t| !t.starts_with("--"));
-        if takes_value && rest.next().is_none() {
-            return Err(format!("{arg} needs a value (usage: {usage})"));
-        }
-    }
-    Ok(())
-}
 
 /// The transport settings shared by `serve` and `route`.
 fn conn_config(args: &[String]) -> Result<ConnConfig, String> {
