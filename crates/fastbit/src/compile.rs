@@ -40,7 +40,7 @@ use crate::index::IndexEncoding;
 use crate::par::DEFAULT_CHUNK_ROWS;
 use crate::query::{evaluate_predicate, ColumnProvider, ExecStrategy, Predicate, QueryExpr};
 use crate::selection::Selection;
-use crate::wah::{Wah, WahBuilder};
+use crate::wah::Wah;
 
 // ---------------------------------------------------------------------------
 // Bytecode
@@ -640,26 +640,6 @@ fn or_words(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// Rebuild a WAH bitmap from a dense word bitmap of `n` bits.
-fn words_to_wah(words: &[u64], n: usize) -> Wah {
-    let mut builder = WahBuilder::new();
-    let mut remaining = n;
-    for &w in words {
-        let take = remaining.min(64);
-        if w == 0 {
-            builder.push_run(false, take as u64);
-        } else if take == 64 && w == u64::MAX {
-            builder.push_run(true, 64);
-        } else {
-            for bit in 0..take {
-                builder.push_bit(w >> bit & 1 == 1);
-            }
-        }
-        remaining -= take;
-    }
-    builder.finish()
-}
-
 /// Trace label of a planned predicate source.
 fn source_name(source: PredSource) -> &'static str {
     match source {
@@ -747,12 +727,13 @@ pub fn execute(
     let Root::Ops { result } = program.root else {
         unreachable!("leaf roots returned above")
     };
-    let built = words_to_wah(&regs[result as usize], n);
-    // Canonicalize to operator form: the tree-walk evaluator's result for a
-    // combiner root is always the output of a WAH boolean op, which is a
-    // pure function of the logical bits. OR-ing with zeros reproduces it.
-    let canonical = Wah::zeros(n as u64).or(&built)?;
-    Ok(Selection::from_wah(canonical))
+    // The tree-walk evaluator's result for a combiner root is always the
+    // output of a WAH boolean op, a pure function of the logical bits;
+    // `from_dense_words` emits exactly that canonical word stream.
+    Ok(Selection::from_wah(Wah::from_dense_words(
+        &regs[result as usize],
+        n as u64,
+    )))
 }
 
 /// Compile `expr` and execute it sequentially — the drop-in compiled
@@ -1103,7 +1084,7 @@ mod tests {
             for bit in (0..n).step_by(3) {
                 words[bit / 64] |= 1 << (bit % 64);
             }
-            let wah = words_to_wah(&words, n);
+            let wah = Wah::from_dense_words(&words, n as u64);
             assert_eq!(wah.len(), n as u64);
             let rows: Vec<u64> = wah.iter_ones().collect();
             let expected: Vec<u64> = (0..n as u64).step_by(3).collect();

@@ -4,9 +4,12 @@
 //! Two FastBit bitmap encodings are supported side by side:
 //!
 //! * **Equality encoding** (always present): bit `r` of bitmap `i` is set
-//!   when row `r` falls in bin `i`. A range query ORs together every bin
-//!   fully inside the range — cheap for narrow ranges, linear in the number
-//!   of bins spanned for wide ones.
+//!   when row `r` falls in bin `i`. A range query unions the bins fully
+//!   inside the range in one pass: each bitmap is OR-ed into one dense
+//!   accumulator that is compressed once, and when the covered bins hold
+//!   more compressed bytes than the rest of the index, the rest is
+//!   accumulated and inverted instead (FastBit's complement trick). The
+//!   cost is the smaller side's bytes plus one pass over `rows / 64` words.
 //! * **Range encoding** (optional, see
 //!   [`BitmapIndex::build_range_encoding`]): cumulative bitmap `i` covers
 //!   all rows with value at most the upper edge of bin `i`. Any contiguous
@@ -14,11 +17,11 @@
 //!   WAH operations regardless of how many bins the range spans.
 //!
 //! When both encodings are present, [`BitmapIndex::choose_encoding`] picks
-//! the cheaper one per query from the compressed bitmap sizes actually
-//! involved (bins spanned × bitmap bytes). Whichever encoding answers, the
-//! resulting WAH selection words are bit-identical — both paths emit through
-//! the canonicalizing WAH builder — a property pinned by
-//! `tests/encoding_differential.rs`.
+//! one per query from the compressed bitmap sizes involved (the spanned
+//! bins' bytes against the two cumulative bitmaps' bytes). Whichever
+//! encoding answers, the resulting WAH selection words are bit-identical —
+//! both paths emit the canonical word stream of the logical operations — a
+//! property pinned by `tests/encoding_differential.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,7 +35,7 @@ use crate::wah::Wah;
 /// Which bitmap encoding answers a range predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexEncoding {
-    /// One bitmap per bin; range queries OR the bins inside the range.
+    /// One bitmap per bin; range queries union the bins inside the range.
     Equality,
     /// Cumulative bitmaps (`C[i]` = rows in bins `0..=i`); range queries
     /// combine at most two bitmaps with `AND NOT`.
@@ -99,7 +102,7 @@ pub(crate) fn note_encoding_query(encoding: IndexEncoding) {
 ///
 /// Construction picks bin boundaries according to a [`Binning`] strategy and
 /// stores one compressed bitmap per bin; bit `r` of bitmap `i` is set when
-/// row `r` falls in bin `i`. Range queries OR together the bitmaps of bins
+/// row `r` falls in bin `i`. Range queries union the bitmaps of bins
 /// fully inside the range and perform a *candidate check* against the raw
 /// column for the (at most two) partially covered boundary bins, exactly as
 /// FastBit does for binned indexes. An optional second, range (cumulative)
@@ -465,13 +468,19 @@ impl BitmapIndex {
         below || above
     }
 
-    /// Pick the cheaper encoding for `range` from the compressed sizes of
-    /// the bitmaps each encoding would actually combine: the equality path
-    /// ORs one bitmap per fully covered bin, while the range path combines
-    /// at most two cumulative bitmaps (`C[b] AND NOT C[a-1]`). The boundary
-    /// candidate bins cost the same either way (both paths read the per-bin
-    /// equality bitmaps), so they cancel out of the comparison. Always
+    /// Pick the encoding for `range` from compressed bitmap sizes: the
+    /// equality side is charged the summed bytes of the fully covered bins'
+    /// bitmaps, the range side the bytes of the at most two cumulative
+    /// bitmaps it combines (`C[b] AND NOT C[a-1]`). The boundary candidate
+    /// bins cost the same either way (both paths read the per-bin equality
+    /// bitmaps), so they cancel out of the comparison. Always
     /// [`IndexEncoding::Equality`] when the cumulative bitmaps are absent.
+    ///
+    /// The equality charge is conservative: the one-pass union reads the
+    /// smaller of the covered bins and their complement (see
+    /// `union_of_bins`), so a wide span costs the equality path less than
+    /// charged here. The model is kept as it is so plans, `explain()` output
+    /// and the encoding counters stay the same.
     pub fn choose_encoding(&self, range: &ValueRange) -> IndexEncoding {
         let (full, _) = self.classify_bins(range);
         self.choose_encoding_classified(&full)
@@ -528,8 +537,9 @@ impl BitmapIndex {
     /// handle the differential suites and benchmarks use to pin both paths
     /// against each other. Forcing [`IndexEncoding::Range`] without built
     /// cumulative bitmaps is an error. The returned selections are
-    /// bit-identical across encodings: both emit through the canonicalizing
-    /// WAH builder, and the logical row sets are equal by construction.
+    /// bit-identical across encodings: both emit the canonical word stream
+    /// of the WAH logical operations, and the logical row sets are equal by
+    /// construction.
     pub fn evaluate_index_only_with(
         &self,
         range: &ValueRange,
@@ -537,6 +547,51 @@ impl BitmapIndex {
     ) -> Result<(Selection, Selection)> {
         let (full, partial) = self.classify_bins(range);
         self.evaluate_classified(range, encoding, full, partial)
+    }
+
+    /// The OR of the bitmaps of the bins in `full` (sorted, as
+    /// [`BitmapIndex::classify_bins`] returns them), read in one pass.
+    ///
+    /// Every bitmap needed is OR-ed into one dense accumulator of
+    /// `num_rows` bits, which is compressed once. When the full bins'
+    /// bitmaps hold more compressed bytes than the rest of the index — the
+    /// other bins plus the unbinned rows — the rest is accumulated instead
+    /// and inverted: the bins and the unbinned rows partition the rows, so
+    /// the complement of the rest is exactly the union of the full bins.
+    /// The output words are those of `Wah::zeros(n).or(bin_0).or(bin_1)…`,
+    /// and an empty `full` returns the builder-form `Wah::zeros(n)` that
+    /// the range encoding's empty span returns too.
+    fn union_of_bins(&self, full: &[usize]) -> Wah {
+        let n = self.num_rows as u64;
+        if full.is_empty() {
+            return Wah::zeros(n);
+        }
+        let full_bytes: usize = full.iter().map(|&i| self.bitmaps[i].size_in_bytes()).sum();
+        let (equality_bytes, _) = self.encoding_size_bytes();
+        // Unbinned rows are stored as `u32`s, as `size_in_bytes` counts them.
+        let rest_bytes = equality_bytes - full_bytes + self.unbinned.len() * 4;
+        let mut dense = vec![0u64; self.num_rows.div_ceil(64)];
+        if full_bytes > rest_bytes {
+            let mut full = full.iter().copied().peekable();
+            for (i, bitmap) in self.bitmaps.iter().enumerate() {
+                if full.next_if_eq(&i).is_none() {
+                    bitmap.write_dense_words(&mut dense);
+                }
+            }
+            for &row in &self.unbinned {
+                dense[row as usize / 64] |= 1u64 << (row % 64);
+            }
+            // Inverting sets the padding bits past `n` too;
+            // `from_dense_words` ignores them.
+            for word in &mut dense {
+                *word = !*word;
+            }
+        } else {
+            for &i in full {
+                self.bitmaps[i].write_dense_words(&mut dense);
+            }
+        }
+        Wah::from_dense_words(&dense, n)
     }
 
     /// Shared evaluation body over an already computed bin classification.
@@ -549,13 +604,7 @@ impl BitmapIndex {
     ) -> Result<(Selection, Selection)> {
         let n = self.num_rows as u64;
         let hits = match encoding {
-            IndexEncoding::Equality => {
-                let mut hits = Wah::zeros(n);
-                for i in full {
-                    hits = hits.or(&self.bitmaps[i])?;
-                }
-                hits
-            }
+            IndexEncoding::Equality => self.union_of_bins(&full),
             IndexEncoding::Range => {
                 let cumulative = self.range_bitmaps.as_deref().ok_or_else(|| {
                     FastBitError::Execution(
@@ -572,16 +621,10 @@ impl BitmapIndex {
                             cumulative[b].and_not(&cumulative[a - 1])?
                         }
                     }
-                    _ => {
-                        // No fully covered bin (or a non-contiguous span,
-                        // which interval ranges cannot produce): nothing to
-                        // subtract — same empty hit set as the equality path.
-                        let mut hits = Wah::zeros(n);
-                        for i in full {
-                            hits = hits.or(&self.bitmaps[i])?;
-                        }
-                        hits
-                    }
+                    // No fully covered bin (or a non-contiguous span, which
+                    // interval ranges cannot produce): nothing to subtract —
+                    // same hit set as the equality path.
+                    _ => self.union_of_bins(&full),
                 }
             }
         };

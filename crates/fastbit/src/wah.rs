@@ -499,15 +499,18 @@ impl Wah {
         check.matches()
     }
 
-    /// Expand into a dense little-endian `u64` word bitmap: bit `i` of the
-    /// output (word `i / 64`, bit `i % 64`) is set iff bit `i` of this
-    /// vector is. `out` must hold at least `len().div_ceil(64)` words and
-    /// should be zeroed; bits beyond the logical length are left untouched.
+    /// OR this vector into a dense little-endian `u64` word bitmap: bit `i`
+    /// of the output (word `i / 64`, bit `i % 64`) is set when bit `i` of
+    /// this vector is, and every bit already set in `out` stays set. `out`
+    /// must hold at least `len().div_ceil(64)` words; bits at `len()` and
+    /// above are never touched, even for non-canonical words.
     ///
-    /// Runs are emitted in bulk — a fill of ones becomes whole `!0` words —
-    /// so the cost is proportional to the *output* size, not to the number
-    /// of set bits. This is what the chunked engine's index acceleration
-    /// uses to turn one index answer into sliceable chunk masks.
+    /// Runs are emitted in bulk — a fill of ones becomes whole `!0` words,
+    /// a literal one shifted mask over one or two words — so the cost is
+    /// proportional to the compressed words plus the ones-fill output, not
+    /// to the number of set bits. The chunked engine uses this to turn one
+    /// index answer into sliceable chunk masks, and the equality-encoded
+    /// index path to union many bins into one accumulator.
     pub fn write_dense_words(&self, out: &mut [u64]) {
         fn set_bit_range(out: &mut [u64], start: u64, end: u64) {
             if start >= end {
@@ -528,26 +531,101 @@ impl Wah {
         }
 
         let mut bit = 0u64;
-        let mut cursor = RunCursor::new(&self.words);
-        while let Some((pattern, groups, is_fill)) = cursor.take(u64::MAX) {
-            if is_fill {
-                let span = groups * GROUP_BITS;
-                if pattern != 0 {
+        for &word in &self.words {
+            if bit >= self.nbits {
+                break;
+            }
+            if word & FILL_FLAG != 0 {
+                let span = u64::from(word & FILL_COUNT_MASK) * GROUP_BITS;
+                if word & FILL_ONE_FLAG != 0 {
                     set_bit_range(out, bit, (bit + span).min(self.nbits));
                 }
                 bit += span;
             } else {
-                let mut p = pattern;
-                while p != 0 {
-                    let pos = bit + p.trailing_zeros() as u64;
-                    p &= p - 1;
-                    if pos < self.nbits {
-                        out[pos as usize / 64] |= 1u64 << (pos % 64);
+                let valid = (self.nbits - bit).min(GROUP_BITS);
+                let p = u64::from(word) & ((1u64 << valid) - 1);
+                if p != 0 {
+                    let (w, shift) = (bit as usize / 64, bit % 64);
+                    out[w] |= p << shift;
+                    // A group starting past bit 33 of a word spills into
+                    // the next one; `valid` keeps the spill below `len()`.
+                    if shift > 64 - GROUP_BITS {
+                        let spill = p >> (64 - shift);
+                        if spill != 0 {
+                            out[w + 1] |= spill;
+                        }
                     }
                 }
                 bit += GROUP_BITS;
             }
         }
+    }
+
+    /// Compress the first `nbits` bits of a dense little-endian `u64` word
+    /// bitmap (the layout [`Wah::write_dense_words`] writes). Bits at
+    /// `nbits` and above are ignored.
+    ///
+    /// The words are the canonical stream the logical operations emit —
+    /// equal to `Wah::zeros(nbits).or(&v)` for the vector `v` holding the
+    /// same bits — because every 31-bit group passes through the same
+    /// group/fill appender. Runs of all-zero or all-one groups are measured
+    /// a `u64` word at a time and appended as one fill.
+    ///
+    /// # Panics
+    /// Panics when `words` holds fewer than `nbits.div_ceil(64)` words.
+    pub fn from_dense_words(words: &[u64], nbits: u64) -> Wah {
+        assert!(
+            words.len() as u64 >= nbits.div_ceil(64),
+            "{} dense words cannot hold {nbits} bits",
+            words.len()
+        );
+        // The 31-bit group of bits `[start, start + 31)`, clipped at nbits.
+        let group_at = |start: u64| -> u32 {
+            let (w, shift) = (start as usize / 64, start % 64);
+            let mut bits = words[w] >> shift;
+            if shift > 64 - GROUP_BITS {
+                if let Some(&next) = words.get(w + 1) {
+                    bits |= next << (64 - shift);
+                }
+            }
+            let valid = (nbits - start).min(GROUP_BITS);
+            (bits & ((1u64 << valid) - 1)) as u32
+        };
+        // How many bits from `start` on equal `bit`, clipped at nbits.
+        let run_len = |start: u64, bit: bool| -> u64 {
+            let flip = if bit { !0u64 } else { 0 };
+            let mut pos = start;
+            while pos < nbits {
+                let differ = (words[pos as usize / 64] ^ flip) >> (pos % 64);
+                if differ != 0 {
+                    return (pos + u64::from(differ.trailing_zeros())).min(nbits) - start;
+                }
+                pos += 64 - pos % 64;
+            }
+            nbits - start
+        };
+
+        let total_groups = nbits.div_ceil(GROUP_BITS);
+        let mut out = Vec::new();
+        let mut g = 0u64;
+        while g < total_groups {
+            let start = g * GROUP_BITS;
+            let group = group_at(start);
+            let whole = if group == 0 || group == LITERAL_MASK {
+                run_len(start, group != 0) / GROUP_BITS
+            } else {
+                0
+            };
+            if whole > 0 {
+                append_fill(&mut out, group != 0, whole);
+                g += whole;
+            } else {
+                // A literal, or a final partial group of zeros.
+                append_group(&mut out, group);
+                g += 1;
+            }
+        }
+        Wah { words: out, nbits }
     }
 
     /// The raw compressed words, for serialization.

@@ -339,3 +339,99 @@ fn is_or_of_follows_fill_coalescing_across_the_count_limit() {
     assert!(or.as_words().len() >= 2);
     check_or_candidates(&a, &b, "fills past the count limit");
 }
+
+// ---------------------------------------------------------------------------
+// Dense <-> WAH codec
+// ---------------------------------------------------------------------------
+
+/// Lengths around the 31-bit group and 64-bit word boundaries plus a large,
+/// odd one.
+const DENSE_LENGTHS: [u64; 11] = [0, 1, 30, 31, 32, 62, 63, 64, 65, 1000, 100_003];
+
+/// Seeded bit patterns from empty through sparse, half, dense and full,
+/// plus runs.
+fn dense_patterns(len: u64, rng: &mut StdRng) -> Vec<(String, Vec<bool>)> {
+    let mut out: Vec<(String, Vec<bool>)> = [0.0, 0.01, 0.5, 0.99, 1.0]
+        .iter()
+        .map(|&density| {
+            let bits = (0..len).map(|_| rng.gen_range(0.0..1.0) < density);
+            (format!("density {density}"), bits.collect())
+        })
+        .collect();
+    out.push(("runny".to_string(), bits_with(len, rng, "runny")));
+    out
+}
+
+/// `bits` as dense little-endian words, with `extra` more words than needed
+/// and every bit from `bits.len()` on drawn at random.
+fn dense_with_garbage(bits: &[bool], extra: usize, rng: &mut StdRng) -> Vec<u64> {
+    let mut words: Vec<u64> = (0..bits.len().div_ceil(64) + extra)
+        .map(|_| rng.gen::<u64>())
+        .collect();
+    for (i, &bit) in bits.iter().enumerate() {
+        if bit {
+            words[i / 64] |= 1 << (i % 64);
+        } else {
+            words[i / 64] &= !(1 << (i % 64));
+        }
+    }
+    words
+}
+
+#[test]
+fn from_dense_words_emits_the_canonical_or_form() {
+    let mut rng = StdRng::seed_from_u64(0xDE45);
+    for &len in &DENSE_LENGTHS {
+        for (name, bits) in dense_patterns(len, &mut rng) {
+            let built = Wah::from_bools(&bits);
+            let canonical = Wah::zeros(len).or(&built).unwrap();
+            for extra in [0, 1] {
+                let dense = dense_with_garbage(&bits, extra, &mut rng);
+                let got = Wah::from_dense_words(&dense, len);
+                assert_eq!(got, canonical, "{name} at {len} bits, {extra} extra words");
+            }
+        }
+    }
+}
+
+#[test]
+fn write_dense_words_ors_the_bitwise_expansion() {
+    let mut rng = StdRng::seed_from_u64(0x0D5E);
+    for &len in &DENSE_LENGTHS {
+        for (name, bits) in dense_patterns(len, &mut rng) {
+            let wah = Wah::from_bools(&bits);
+            let mut spellings = vec![wah.clone()];
+            spellings.extend(non_canonical_reencodings(&wah, 16));
+            // Unchecked words whose final partial group has its padding
+            // bits set: still nothing at `len` and above may change.
+            if len % 31 != 0 {
+                let mut words = wah.as_words().to_vec();
+                let last = words.last_mut().expect("a partial group is a literal");
+                *last |= LITERAL_MASK & !((1u32 << (len % 31)) - 1);
+                spellings.push(Wah::from_raw_parts(words, len));
+            }
+            for (k, spelling) in spellings.iter().enumerate() {
+                // Into a zeroed buffer: exactly the bitwise expansion.
+                let mut zeroed = vec![0u64; bits.len().div_ceil(64) + 1];
+                spelling.write_dense_words(&mut zeroed);
+                let mut expansion = vec![0u64; zeroed.len()];
+                for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+                    expansion[i / 64] |= 1 << (i % 64);
+                }
+                assert_eq!(zeroed, expansion, "{name} at {len} bits, spelling {k}");
+
+                // Into a pre-filled buffer: an OR, and every bit at `len`
+                // and above keeps its old value.
+                let prefilled: Vec<u64> = (0..zeroed.len()).map(|_| rng.gen::<u64>()).collect();
+                let mut out = prefilled.clone();
+                spelling.write_dense_words(&mut out);
+                let expected: Vec<u64> = prefilled
+                    .iter()
+                    .zip(&expansion)
+                    .map(|(p, e)| p | e)
+                    .collect();
+                assert_eq!(out, expected, "{name} at {len} bits, spelling {k}");
+            }
+        }
+    }
+}

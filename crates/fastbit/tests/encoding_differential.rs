@@ -2,14 +2,17 @@
 //!
 //! The tentpole guarantee of the dual-encoding index is that encoding
 //! selection can never change an answer: for every query, the equality path
-//! (OR one bitmap per spanned bin) and the range path (at most two
-//! cumulative bitmaps combined with AND NOT) must produce **bit-identical
-//! WAH selection words**, not merely the same row sets — and the same must
+//! (one dense union of the spanned bins, or of their complement when that
+//! holds fewer bytes) and the range path (at most two cumulative bitmaps
+//! combined with AND NOT) must produce **bit-identical WAH selection
+//! words**, not merely the same row sets — and the same must
 //! hold whether the query runs through the sequential evaluator or the
 //! chunked parallel engine with index acceleration, at every chunk size and
 //! thread count. Seeded random compound queries over columns with NaN/±∞
 //! values, boundary-inclusive ranges landing exactly on bin edges, and the
-//! scan baseline as the independent oracle pin all of it.
+//! scan baseline as the independent oracle pin all of it. The union edge
+//! cases — full-bin counts on both sides of the complement switch — are also
+//! pinned against a pairwise OR chain kept in this file.
 
 use std::collections::HashMap;
 
@@ -301,4 +304,178 @@ fn cost_model_selects_sensibly_and_counts() {
     let after = fastbit::encoding_stats();
     assert!(after.range_queries > before.range_queries);
     assert!(after.equality_queries > before.equality_queries);
+}
+
+/// Bins of the union edge-case suite.
+const UNION_BINS: usize = 32;
+
+/// A column for the union edge cases: scattered values, optionally with
+/// NaN islands, and optionally with ±∞ rows (which make the unbinned rows
+/// matchable).
+fn union_column(n: usize, seed: u64, nan: bool, inf: bool) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            if nan && i % 89 < 5 {
+                f64::NAN
+            } else if inf && i % 173 == 0 {
+                f64::INFINITY
+            } else if inf && i % 199 == 0 {
+                f64::NEG_INFINITY
+            } else {
+                rng.gen_range(-50.0..50.0)
+            }
+        })
+        .collect()
+}
+
+/// The pre-union reference: OR the bins one at a time, pairwise, starting
+/// from `Wah::zeros` — the answer the equality path must reproduce word
+/// for word.
+fn pairwise_or(idx: &BitmapIndex, bins: impl IntoIterator<Item = usize>) -> fastbit::Wah {
+    let mut acc = fastbit::Wah::zeros(idx.num_rows() as u64);
+    for i in bins {
+        acc = acc.or(idx.bitmap(i)).unwrap();
+    }
+    acc
+}
+
+/// Ranges with exactly `k` full bins: `(range, full bins, partial bins)`.
+/// Boundary-aligned spans at both ends of the bin range, spans whose ends
+/// fall inside a bin (so one or two partial bins), and open-ended spans that
+/// reach the unbinned ±∞ rows.
+fn ranges_with_full_bins(idx: &BitmapIndex, k: usize) -> Vec<(ValueRange, Vec<usize>, Vec<usize>)> {
+    let b = idx.edges().boundaries();
+    let bins = idx.num_bins();
+    let mid = |i: usize| (b[i] + b[i + 1]) / 2.0;
+    let half_open = |lo: f64, hi: f64| ValueRange {
+        min: Some(lo),
+        min_inclusive: true,
+        max: Some(hi),
+        max_inclusive: false,
+    };
+    let mut out = Vec::new();
+    // With no full bin, `[hi, hi]` would still touch the last bin.
+    let starts = if k == 0 { vec![0] } else { vec![0, bins - k] };
+    for a in starts {
+        let full: Vec<usize> = (a..a + k).collect();
+        let range = if a + k == bins {
+            ValueRange::between_inclusive(b[a], b[bins])
+        } else {
+            half_open(b[a], b[a + k])
+        };
+        out.push((range, full, vec![]));
+    }
+    if k + 2 <= bins {
+        // Ends inside bins 0 and k + 1.
+        out.push((
+            ValueRange::between(mid(0), mid(k + 1)),
+            (1..=k).collect(),
+            vec![0, k + 1],
+        ));
+    }
+    if k < bins {
+        // One partial bin on either side.
+        out.push((
+            ValueRange::between_inclusive(mid(bins - k - 1), b[bins]),
+            (bins - k..bins).collect(),
+            vec![bins - k - 1],
+        ));
+        out.push((half_open(b[0], mid(k)), (0..k).collect(), vec![k]));
+    }
+    // Open-ended: past the outer boundaries, where ±∞ rows match.
+    if k > 0 {
+        out.push((
+            ValueRange::ge(b[bins - k]),
+            (bins - k..bins).collect(),
+            vec![],
+        ));
+        // The last bin is closed above, so it needs `<=` to be full.
+        let below = if k == bins {
+            ValueRange::le(b[bins])
+        } else {
+            ValueRange::lt(b[k])
+        };
+        out.push((below, (0..k).collect(), vec![]));
+    } else {
+        out.push((ValueRange::gt(b[bins]), vec![], vec![]));
+        out.push((ValueRange::lt(b[0]), vec![], vec![]));
+    }
+    if k == bins {
+        out.push((ValueRange::all(), (0..bins).collect(), vec![]));
+    }
+    out
+}
+
+/// The one-pass union of the equality path — accumulated directly or from
+/// the complement, whichever side holds fewer bytes — must equal the
+/// pairwise OR chain word for word at every full-bin count where the side
+/// switches, on a scattered column and on NaN/±∞ columns with matchable and
+/// non-matchable unbinned rows. Hits and candidates must also equal the
+/// range encoding's words, and the exact answer the scan oracle.
+#[test]
+fn one_pass_union_matches_the_pairwise_or_at_every_full_bin_count() {
+    let n = 5_003;
+    let columns = [
+        ("scattered", union_column(n, 51, false, false)),
+        ("nan-only", union_column(n, 52, true, false)),
+        ("nan-inf", union_column(n, 53, true, true)),
+    ];
+    let half = UNION_BINS / 2;
+    for (name, data) in &columns {
+        let idx = BitmapIndex::build(data, &Binning::EqualWidth { bins: UNION_BINS })
+            .unwrap()
+            .with_range_encoding()
+            .unwrap();
+        assert_eq!(
+            idx.unbinned_matchable(),
+            *name == "nan-inf",
+            "{name}: matchable flag"
+        );
+        for k in [0, 1, half, half + 1, UNION_BINS - 1, UNION_BINS] {
+            for (range, full, partial) in ranges_with_full_bins(&idx, k) {
+                let what = format!("{name}, {k} full bins, {range:?}");
+                let (eq_hits, eq_cand) = idx
+                    .evaluate_index_only_with(&range, IndexEncoding::Equality)
+                    .unwrap();
+                let (rg_hits, rg_cand) = idx
+                    .evaluate_index_only_with(&range, IndexEncoding::Range)
+                    .unwrap();
+
+                let hits_ref = pairwise_or(&idx, full.iter().copied());
+                assert_eq!(eq_hits.as_wah(), &hits_ref, "hits vs pairwise OR: {what}");
+                assert_eq!(eq_hits.as_wah(), rg_hits.as_wah(), "hits vs range: {what}");
+                let full_rows: u64 = full.iter().map(|&i| idx.bitmap(i).count_ones()).sum();
+                assert_eq!(eq_hits.count(), full_rows, "{k} full bins: {what}");
+
+                let mut cand_ref = pairwise_or(&idx, partial.iter().copied());
+                let reaches_unbinned = range.min.is_none_or(|m| m < idx.edges().lo())
+                    || range.max.is_none_or(|m| m > idx.edges().hi());
+                if idx.unbinned_matchable() && reaches_unbinned {
+                    let unbinned = fastbit::Wah::from_sorted_indices(
+                        n as u64,
+                        idx.unbinned_rows().iter().map(|&r| r as u64),
+                    );
+                    cand_ref = cand_ref.or(&unbinned).unwrap();
+                }
+                assert_eq!(
+                    eq_cand.as_wah(),
+                    &cand_ref,
+                    "candidates vs pairwise: {what}"
+                );
+                assert_eq!(eq_cand.as_wah(), rg_cand.as_wah(), "candidates: {what}");
+
+                let exact = idx
+                    .evaluate_with(&range, data, IndexEncoding::Equality)
+                    .unwrap();
+                let scan: Vec<usize> = data
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &v)| range.contains(v))
+                    .map(|(i, _)| i)
+                    .collect();
+                assert_eq!(exact.to_rows(), scan, "scan oracle: {what}");
+            }
+        }
+    }
 }

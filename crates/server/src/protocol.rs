@@ -136,6 +136,11 @@ impl Request {
 /// Default entry count of a bare `SLOWLOG` request.
 pub const SLOWLOG_DEFAULT_LIMIT: usize = 16;
 
+/// Largest `<bins>` a `HIST` request may ask for. The histogram allocates
+/// its edges and counts up front, so an unbounded count would let one line
+/// exhaust the server's memory.
+pub const MAX_HIST_BINS: usize = 65_536;
+
 fn parse_ids(field: &str) -> Result<Vec<u64>, String> {
     if field.is_empty() {
         return Ok(Vec::new());
@@ -150,6 +155,14 @@ fn parse_step(field: &str) -> Result<usize, String> {
     field
         .parse::<usize>()
         .map_err(|_| format!("bad timestep '{field}'"))
+}
+
+fn parse_bins(field: &str) -> Result<usize, String> {
+    match field.parse::<usize>() {
+        Ok(bins) if bins <= MAX_HIST_BINS => Ok(bins),
+        Ok(_) => Err(format!("bad bin count '{field}' (at most {MAX_HIST_BINS})")),
+        Err(_) => Err(format!("bad bin count '{field}'")),
+    }
 }
 
 /// Parse one request line. Returns a human-readable message on malformed
@@ -178,9 +191,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         ("HIST", 4 | 5) => Ok(Request::Hist {
             step: parse_step(fields[1])?,
             column: fields[2].to_string(),
-            bins: fields[3]
-                .parse::<usize>()
-                .map_err(|_| format!("bad bin count '{}'", fields[3]))?,
+            bins: parse_bins(fields[3])?,
             condition: fields.get(4).map(|s| s.to_string()),
         }),
         ("TRACK", 2) => Ok(Request::Track {
@@ -366,6 +377,18 @@ mod tests {
                 condition: Some("y > 0".to_string())
             })
         );
+        assert_eq!(
+            parse_request(&format!("HIST\t0\tpx\t{MAX_HIST_BINS}")),
+            Ok(Request::Hist {
+                step: 0,
+                column: "px".to_string(),
+                bins: MAX_HIST_BINS,
+                condition: None
+            })
+        );
+        let too_many = parse_request("HIST\t0\tpx\t100000000000").unwrap_err();
+        assert!(too_many.starts_with("bad bin count"), "{too_many}");
+        assert!(parse_request(&format!("HIST\t0\tpx\t{}", MAX_HIST_BINS + 1)).is_err());
         assert_eq!(
             parse_request("TRACK\t5,9"),
             Ok(Request::Track { ids: vec![5, 9] })

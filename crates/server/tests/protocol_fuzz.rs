@@ -129,6 +129,32 @@ fn hostile_lines_never_panic_and_always_reply_in_protocol() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Regression: a huge `HIST` bin count used to reach the histogram's
+/// up-front edge allocation and abort the whole process. It is now a
+/// parse error, and the server keeps answering.
+#[test]
+fn oversized_hist_bin_count_is_an_error_not_an_abort() {
+    let (server, dir) = parallel_server("hist_bins");
+    let handle = server.handle();
+    let state = handle.state();
+    for bins in [
+        "100000000000".to_string(),
+        (vdx_server::protocol::MAX_HIST_BINS + 1).to_string(),
+    ] {
+        let (reply, close) = state.handle_line(&format!("HIST\t0\tpx\t{bins}"));
+        assert!(
+            reply.starts_with("ERR\tbad bin count"),
+            "{bins} bins -> {reply:?}"
+        );
+        assert!(!close);
+        assert_eq!(state.handle_line("PING").0, "OK\tPONG");
+    }
+    // The limit itself is still served.
+    let at_limit = format!("HIST\t0\tpx\t{}", vdx_server::protocol::MAX_HIST_BINS);
+    assert!(state.handle_line(&at_limit).0.starts_with("OK\tHIST\t"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The hostile TCP session: the event loop answers every hostile line in
 /// protocol without hanging.
 #[test]
