@@ -19,7 +19,7 @@
 
 use std::path::PathBuf;
 
-use fastbit::par::{evaluate_chunked, ParExec, DEFAULT_CHUNK_ROWS};
+use fastbit::par::{ParExec, DEFAULT_CHUNK_ROWS};
 use fastbit::{scan, BinSpec, HistEngine, HistogramEngine, QueryExpr, ValueRange};
 use pipeline::{HistogramStage, NodePool, Tracker};
 use vdx_bench::{
@@ -542,38 +542,49 @@ fn fig_query_compile(args: &Args) {
     write_bench_json(&args.out, "BENCH_query_compile.json", &records).unwrap();
 }
 
-/// Sequential-vs-parallel chunked engine: one SELECT and one conditional 1D
-/// histogram over the serial dataset, at each thread count of `--nodes`.
-/// The sequential baselines (`seq_*`, the legacy non-chunked path) and the
-/// chunked series (`par_*`, n = threads) land in the same `BENCH` file so
-/// the speedup trajectory is machine-readable across PRs. Every measured
-/// result is asserted identical to the sequential oracle before timing is
-/// reported — the differential guarantee, enforced even here.
+/// The query engine at each thread count: one scan-only SELECT and one
+/// conditional 1D histogram over the serial dataset. `seq_*` is the engine
+/// on one thread and `par_*` (n = threads) each thread count of `--nodes`,
+/// both at the default chunk size, in the same `BENCH` file so the scaling
+/// trajectory is machine-readable across PRs. Thread counts above the
+/// machine's core count (printed in the header) cannot speed anything up.
+/// Every measured result is asserted identical to the one-thread result
+/// before timing is reported.
 fn fig_par_engine(args: &Args) {
-    println!("\n== Chunked parallel engine: select / conditional hist1d vs threads ==");
+    let cores = std::thread::available_parallelism()
+        .map(|c| c.get())
+        .unwrap_or(1);
+    println!(
+        "\n== Query engine: select / conditional hist1d vs threads ({cores} cores available) =="
+    );
     let dataset = serial_dataset(args.particles);
-    let engine = HistogramEngine::new(&dataset);
     // ~1% selectivity compound condition, as in the conditional figures.
     let threshold = threshold_for_hits(&dataset, args.particles / 100);
     let cond = QueryExpr::pred("px", ValueRange::gt(threshold))
         .and(QueryExpr::pred("x", ValueRange::gt(0.0)));
     let bins = 1024usize;
+    let run = |threads: usize| {
+        let engine =
+            HistogramEngine::with_exec(&dataset, ParExec::new(threads, DEFAULT_CHUNK_ROWS));
+        let sel = time_stats(args.samples, || {
+            engine
+                .evaluate_condition(&cond, HistEngine::Custom)
+                .unwrap()
+        });
+        let hist = time_stats(args.samples, || {
+            engine
+                .hist1d(
+                    "px",
+                    &BinSpec::Uniform(bins),
+                    Some(&cond),
+                    HistEngine::Custom,
+                )
+                .unwrap()
+        });
+        (sel, hist)
+    };
 
-    let (oracle_sel, seq_sel_t) = time_stats(args.samples, || {
-        engine
-            .evaluate_condition(&cond, HistEngine::Custom)
-            .unwrap()
-    });
-    let (oracle_hist, seq_hist_t) = time_stats(args.samples, || {
-        engine
-            .hist1d(
-                "px",
-                &BinSpec::Uniform(bins),
-                Some(&cond),
-                HistEngine::Custom,
-            )
-            .unwrap()
-    });
+    let ((oracle_sel, seq_sel_t), (oracle_hist, seq_hist_t)) = run(1);
     let mut records = vec![
         BenchRecord::new("seq_select_scan", 1, seq_sel_t),
         BenchRecord::new("seq_hist1d_cond", 1, seq_hist_t),
@@ -588,29 +599,14 @@ fn fig_par_engine(args: &Args) {
     );
     let mut rows = vec![format!("0,{},{}", seq_sel_t.median_s, seq_hist_t.median_s)];
     for &threads in &args.nodes {
-        let exec = ParExec::new(threads, DEFAULT_CHUNK_ROWS);
-        let (sel, sel_t) = time_stats(args.samples, || {
-            evaluate_chunked(&cond, &dataset, &exec).unwrap()
-        });
+        let ((sel, sel_t), (hist, hist_t)) = run(threads);
         assert_eq!(
-            sel.to_rows(),
-            oracle_sel.to_rows(),
-            "chunked selection diverged from the sequential oracle"
+            sel, oracle_sel,
+            "the {threads}-thread selection diverged from the one-thread one"
         );
-        let (hist, hist_t) = time_stats(args.samples, || {
-            engine
-                .hist1d_par(
-                    "px",
-                    &BinSpec::Uniform(bins),
-                    Some(&cond),
-                    HistEngine::Custom,
-                    &exec,
-                )
-                .unwrap()
-        });
         assert_eq!(
             hist, oracle_hist,
-            "chunked histogram diverged from the sequential oracle"
+            "the {threads}-thread histogram diverged from the one-thread one"
         );
         println!(
             "{:>8} {:>14.4} {:>14.4} {:>12.2} {:>12.2}",

@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use datastore::{Catalog, Dataset, DatasetCache};
 use fastbit::{
-    parse_query, BinSpec, HistEngine, ParExec, ParStatsSnapshot, PlanCache, PlanCacheStats,
-    QueryExpr,
+    parse_query, BinSpec, HistEngine, HistogramEngine, ParExec, ParStatsSnapshot, PlanCache,
+    PlanCacheStats, QueryExpr, Selection,
 };
 use histogram::{Binning, Hist2D};
 use lwfa::{SimConfig, Simulation};
@@ -21,27 +21,19 @@ pub struct ExplorerConfig {
     /// Number of parallel "nodes" (worker threads) used for catalog-wide
     /// operations.
     pub nodes: usize,
-    /// Execution engine: index-accelerated (`FastBit`) or scanning
+    /// Execution engine: indexed (`FastBit`) or scanning
     /// (`Custom`).
     pub engine: HistEngine,
     /// Binning strategy used when building bitmap indexes during generation.
     pub index_binning: Binning,
     /// Default histogram resolution (bins per axis).
     pub default_bins: usize,
-    /// Worker threads used *within* one query/histogram evaluation by the
-    /// chunked parallel engine. `1` (the default) runs the exact legacy
-    /// sequential path; `> 1` evaluates per-chunk with zone-map pruning and
-    /// produces the identical row sets and histogram counts.
+    /// Worker threads used *within* one query/histogram evaluation: scans
+    /// and histogram binning split into chunks across them. Every thread
+    /// count produces the identical row sets and histogram counts.
     pub threads: usize,
-    /// Rows per evaluation chunk of the parallel engine.
+    /// Rows per evaluation chunk (the zone-map granularity of scans).
     pub chunk_rows: usize,
-    /// Let the chunked parallel engine answer predicates through bitmap
-    /// indexes (with per-query equality/range encoding selection) instead of
-    /// scanning chunks, when an index exists. Off by default so the chunked
-    /// engine keeps its historical pure-scan behaviour; results are
-    /// byte-identical either way. Only meaningful when `threads > 1` — the
-    /// sequential path already uses indexes under the `FastBit` engine.
-    pub index_accel: bool,
 }
 
 impl Default for ExplorerConfig {
@@ -53,7 +45,6 @@ impl Default for ExplorerConfig {
             default_bins: 256,
             threads: 1,
             chunk_rows: fastbit::par::DEFAULT_CHUNK_ROWS,
-            index_accel: false,
         }
     }
 }
@@ -101,8 +92,8 @@ pub struct DataExplorer {
     /// When set, timestep loads go through this shared cache (full column
     /// set + indexes) instead of re-reading files per call.
     cache: Option<Arc<DatasetCache>>,
-    /// The chunked parallel executor (thread count, chunk size, lifetime
-    /// pruning statistics). Only consulted when `config.threads > 1`.
+    /// How each evaluation splits its work (thread count, chunk size) and
+    /// its lifetime evaluation/pruning statistics.
     par: ParExec,
     /// Compiled query programs keyed by [`QueryExpr::cache_key`]. Programs
     /// are provider-independent (planner decisions bind per execution), so
@@ -155,8 +146,7 @@ impl DataExplorer {
 
     /// Build an explorer over an already opened, shared catalog.
     pub fn from_catalog(catalog: Arc<Catalog>, config: ExplorerConfig) -> Self {
-        let par = ParExec::new(config.threads, config.chunk_rows)
-            .with_index_acceleration(config.index_accel);
+        let par = ParExec::new(config.threads, config.chunk_rows);
         Self {
             catalog,
             config,
@@ -227,20 +217,38 @@ impl DataExplorer {
         }
     }
 
-    /// Whether intra-query chunked parallelism is enabled.
-    fn parallel(&self) -> bool {
-        self.config.threads > 1
+    /// Whether the configured engine reads bitmap indexes, so timestep
+    /// loads need them.
+    fn indexed(&self) -> bool {
+        self.config.engine == HistEngine::FastBit
     }
 
-    /// The chunked parallel executor (thread count, chunk size, stats).
+    /// The query engine's executor (thread count, chunk size, stats).
     pub fn par_exec(&self) -> &ParExec {
         &self.par
     }
 
-    /// Lifetime counters of the chunked parallel engine: evaluations run and
-    /// chunks pruned/scanned. All zero while `threads == 1`.
+    /// Lifetime counters of the query engine: evaluations run and chunks
+    /// pruned/scanned/indexed.
     pub fn par_stats(&self) -> ParStatsSnapshot {
         self.par.stats()
+    }
+
+    /// Evaluate `expr` over `dataset` through the plan cache and the
+    /// compiled engine, under the configured engine's strategy.
+    fn evaluate(&self, dataset: &Dataset, expr: &QueryExpr) -> Result<Selection> {
+        let program = self.plans.get_or_compile(expr);
+        Ok(fastbit::compile::execute_with(
+            &program,
+            dataset,
+            self.strategy(),
+            &self.par,
+        )?)
+    }
+
+    /// The histogram engine over `dataset`, splitting work like queries.
+    fn hist_engine<'a>(&self, dataset: &'a Dataset) -> HistogramEngine<'a, Dataset> {
+        HistogramEngine::with_exec(dataset, self.par.clone())
     }
 
     /// Effectiveness counters of the compiled-plan cache.
@@ -249,7 +257,7 @@ impl DataExplorer {
     }
 
     /// Register this explorer's engine-level collectors — plan cache,
-    /// chunked parallel executor, index encoding counters and the attached
+    /// query engine executor, index encoding counters and the attached
     /// segment store (when present) — into a metrics registry. The dataset
     /// cache registers itself separately (it is shared across explorers).
     pub fn register_metrics(&self, registry: &obs::Registry) {
@@ -263,30 +271,8 @@ impl DataExplorer {
     /// `"px > 8.872e10"` and return their identifiers.
     pub fn select(&self, step: usize, query: &str) -> Result<BeamSelection> {
         let expr = parse_query(query)?;
-        let ids = if self.parallel() {
-            // Without index acceleration the chunked evaluator never consults
-            // bitmap indexes, so skip the sidecar load (cached loads always
-            // carry them regardless).
-            let dataset = self.load_step(step, None, self.par.index_acceleration())?;
-            let program = self.plans.get_or_compile(&expr);
-            let masks = fastbit::par::evaluate_chunk_masks_program(&program, &*dataset, &self.par)?;
-            let selection = {
-                let _combine = obs::span("combine");
-                masks.to_selection()
-            };
-            dataset.ids_of(&selection)?
-        } else {
-            match &self.cache {
-                Some(_) => {
-                    let dataset = self.load_step(step, None, true)?;
-                    let program = self.plans.get_or_compile(&expr);
-                    let selection =
-                        fastbit::compile::execute(&program, &*dataset, self.strategy())?;
-                    dataset.ids_of(&selection)?
-                }
-                None => self.analyzer().select(step, &expr)?.0,
-            }
-        };
+        let dataset = self.load_step(step, None, self.indexed())?;
+        let ids = dataset.ids_of(&self.evaluate(&dataset, &expr)?)?;
         Ok(BeamSelection {
             step,
             query: expr,
@@ -315,27 +301,10 @@ impl DataExplorer {
     /// of `ids` that also satisfies `expr` at `step`. Exposed for callers
     /// (like the server) that track id sets without a [`BeamSelection`].
     pub fn refine_ids(&self, step: usize, ids: &[u64], expr: &QueryExpr) -> Result<Vec<u64>> {
-        if self.parallel() {
-            let dataset = self.load_step(step, None, true)?;
-            let by_id = dataset.select_ids(ids)?;
-            let program = self.plans.get_or_compile(expr);
-            let masks = fastbit::par::evaluate_chunk_masks_program(&program, &*dataset, &self.par)?;
-            let by_query = {
-                let _combine = obs::span("combine");
-                masks.to_selection()
-            };
-            return Ok(dataset.ids_of(&by_id.and(&by_query)?)?);
-        }
-        match &self.cache {
-            Some(_) => {
-                let dataset = self.load_step(step, None, true)?;
-                let by_id = dataset.select_ids(ids)?;
-                let program = self.plans.get_or_compile(expr);
-                let by_query = fastbit::compile::execute(&program, &*dataset, self.strategy())?;
-                Ok(dataset.ids_of(&by_id.and(&by_query)?)?)
-            }
-            None => Ok(self.analyzer().refine(step, ids, expr)?),
-        }
+        let dataset = self.load_step(step, None, self.indexed())?;
+        let by_id = dataset.select_ids(ids)?;
+        let by_query = self.evaluate(&dataset, expr)?;
+        Ok(dataset.ids_of(&by_id.and(&by_query)?)?)
     }
 
     /// Trace a particle set across every timestep. With a shared cache
@@ -368,17 +337,8 @@ impl DataExplorer {
         condition: Option<&str>,
     ) -> Result<histogram::Hist1D> {
         let condition = condition.map(parse_query).transpose()?;
-        let dataset = self.load_step(step, None, self.config.engine == HistEngine::FastBit)?;
-        if self.parallel() {
-            return Ok(dataset.hist_engine().hist1d_par(
-                column,
-                &BinSpec::Uniform(bins),
-                condition.as_ref(),
-                self.config.engine,
-                &self.par,
-            )?);
-        }
-        Ok(dataset.hist_engine().hist1d(
+        let dataset = self.load_step(step, None, self.indexed())?;
+        Ok(self.hist_engine(&dataset).hist1d(
             column,
             &BinSpec::Uniform(bins),
             condition.as_ref(),
@@ -400,49 +360,30 @@ impl DataExplorer {
             return Err(VdxError::Invalid("need at least two axes".into()));
         }
         let condition = condition.map(parse_query).transpose()?;
-        let dataset = self.load_step(step, None, self.config.engine == HistEngine::FastBit)?;
-        let engine = dataset.hist_engine();
+        let dataset = self.load_step(step, None, self.indexed())?;
+        let engine = self.hist_engine(&dataset);
         let spec = if adaptive {
             BinSpec::Adaptive(bins)
         } else {
             BinSpec::Uniform(bins)
         };
-        let mut hists = Vec::with_capacity(axes.len() - 1);
-        if self.parallel() {
-            // One chunked evaluation of the condition shared by every pair;
-            // binning itself is chunked across the pool too.
-            let cond = condition
-                .as_ref()
-                .map(|c| engine.evaluate_condition_chunked(c, &self.par))
-                .transpose()?;
-            for pair in axes.windows(2) {
-                hists.push(engine.hist2d_with_condition_par(
-                    pair[0],
-                    pair[1],
-                    &spec,
-                    &spec,
-                    cond.as_ref(),
-                    self.config.engine,
-                    &self.par,
-                )?);
-            }
-            return Ok(hists);
-        }
+        // One evaluation of the condition, shared by every pair.
         let selection = condition
             .as_ref()
             .map(|c| engine.evaluate_condition(c, self.config.engine))
             .transpose()?;
-        for pair in axes.windows(2) {
-            hists.push(engine.hist2d_with_selection(
-                pair[0],
-                pair[1],
-                &spec,
-                &spec,
-                selection.as_ref(),
-                self.config.engine,
-            )?);
-        }
-        Ok(hists)
+        axes.windows(2)
+            .map(|pair| {
+                Ok(engine.hist2d_with_selection(
+                    pair[0],
+                    pair[1],
+                    &spec,
+                    &spec,
+                    selection.as_ref(),
+                    self.config.engine,
+                )?)
+            })
+            .collect()
     }
 
     /// Build a [`ParallelCoordsPlot`] whose axes cover the value ranges of
@@ -522,20 +463,10 @@ impl DataExplorer {
         condition: Option<&str>,
     ) -> Result<Framebuffer> {
         let plot = self.plot_for(step, axes, PlotConfig::default())?;
-        let dataset = self.load_step(step, None, self.config.engine == HistEngine::FastBit)?;
-        // Evaluate with the engine's strategy (not Auto): a cached dataset
-        // always carries indexes, and the Custom baseline must keep scanning.
-        let selection = match condition {
-            Some(q) => {
-                let program = self.plans.get_or_compile(&parse_query(q)?);
-                Some(fastbit::compile::execute(
-                    &program,
-                    &*dataset,
-                    self.strategy(),
-                )?)
-            }
-            None => None,
-        };
+        let dataset = self.load_step(step, None, self.indexed())?;
+        let selection = condition
+            .map(|q| self.evaluate(&dataset, &parse_query(q)?))
+            .transpose()?;
         let columns: Vec<Vec<f64>> = axes
             .iter()
             .map(|&name| {
@@ -676,49 +607,84 @@ mod tests {
     fn parallel_explorer_matches_sequential_exactly() {
         let (sequential, dir) = small_explorer("par_vs_seq");
         let catalog = sequential.catalog_arc();
-        let parallel = DataExplorer::from_catalog(
-            Arc::clone(&catalog),
-            ExplorerConfig {
-                threads: 4,
-                chunk_rows: 97,
-                nodes: 2,
-                index_binning: Binning::EqualWidth { bins: 32 },
-                ..Default::default()
-            },
-        );
-        assert_eq!(parallel.par_exec().threads(), 4);
+        let explorer = |engine, threads, chunk_rows, cached: bool| {
+            let explorer = DataExplorer::from_catalog(
+                Arc::clone(&catalog),
+                ExplorerConfig {
+                    engine,
+                    threads,
+                    chunk_rows,
+                    nodes: 2,
+                    index_binning: Binning::EqualWidth { bins: 32 },
+                    ..Default::default()
+                },
+            );
+            if cached {
+                explorer.with_dataset_cache(Arc::new(DatasetCache::new(
+                    datastore::DatasetCacheConfig::default(),
+                )))
+            } else {
+                explorer
+            }
+        };
+        let default_chunk = fastbit::par::DEFAULT_CHUNK_ROWS;
+        // Per engine: the uncached sequential explorer, the cached one the
+        // server runs, and a 4-thread one at a small chunk size.
+        let groups = [
+            vec![
+                sequential,
+                explorer(HistEngine::FastBit, 1, default_chunk, true),
+                explorer(HistEngine::FastBit, 4, 97, false),
+            ],
+            vec![
+                explorer(HistEngine::Custom, 1, default_chunk, false),
+                explorer(HistEngine::Custom, 1, default_chunk, true),
+                explorer(HistEngine::Custom, 4, 97, true),
+            ],
+        ];
+        assert_eq!(groups[0][2].par_exec().threads(), 4);
 
-        let a = sequential.select(17, "px > 1.5e10 && y > 0").unwrap();
-        let b = parallel.select(17, "px > 1.5e10 && y > 0").unwrap();
-        assert_eq!(a.ids, b.ids);
-
-        let ra = sequential.refine(&a, 16, "y > 0").unwrap();
-        let rb = parallel.refine(&b, 16, "y > 0").unwrap();
-        assert_eq!(ra.ids, rb.ids);
-
-        for condition in [None, Some("px > 1e10"), Some("px > 1e30")] {
-            let ha = sequential.histogram1d(15, "px", 48, condition).unwrap();
-            let hb = parallel.histogram1d(15, "px", 48, condition).unwrap();
-            assert_eq!(ha, hb, "condition {condition:?}");
+        // Every explorer runs the same calls once, so their evaluation
+        // counts must agree too.
+        let run = |e: &DataExplorer| {
+            let beam = e.select(17, "px > 1.5e10 && y > 0").unwrap();
+            let refined = e.refine(&beam, 16, "y > 0").unwrap();
+            let hists: Vec<_> = [None, Some("px > 1e10"), Some("px > 1e30")]
+                .into_iter()
+                .map(|condition| e.histogram1d(15, "px", 48, condition).unwrap())
+                .collect();
+            let pairs = e
+                .axis_histograms(15, &["x", "px", "y"], 24, Some("px > 1e10"), false)
+                .unwrap();
+            (beam.ids, refined.ids, hists, pairs)
+        };
+        let results: Vec<Vec<_>> = groups
+            .iter()
+            .map(|group| group.iter().map(run).collect())
+            .collect();
+        let (ids, refined_ids) = (&results[0][0].0, &results[0][0].1);
+        for group in &results {
+            let (_, _, ha, pa) = &group[0];
+            for (b, rb, hb, pb) in group {
+                assert_eq!(ids, b);
+                assert_eq!(refined_ids, rb);
+                assert_eq!(ha, hb);
+                assert_eq!(pa.len(), pb.len());
+                for (x, y) in pa.iter().zip(pb.iter()) {
+                    assert_eq!(x.counts(), y.counts());
+                    assert_eq!(x.x_edges(), y.x_edges());
+                    assert_eq!(x.y_edges(), y.y_edges());
+                }
+            }
         }
 
-        let axes = ["x", "px", "y"];
-        let pa = sequential
-            .axis_histograms(15, &axes, 24, Some("px > 1e10"), false)
-            .unwrap();
-        let pb = parallel
-            .axis_histograms(15, &axes, 24, Some("px > 1e10"), false)
-            .unwrap();
-        assert_eq!(pa.len(), pb.len());
-        for (x, y) in pa.iter().zip(pb.iter()) {
-            assert_eq!(x.counts(), y.counts());
-            assert_eq!(x.x_edges(), y.x_edges());
-            assert_eq!(x.y_edges(), y.y_edges());
-        }
-
-        let stats = parallel.par_stats();
+        let stats = groups[0][2].par_stats();
         assert!(stats.queries >= 4, "chunked engine actually ran");
-        assert_eq!(sequential.par_stats().queries, 0);
+        for group in &groups {
+            for other in group {
+                assert_eq!(other.par_stats().queries, stats.queries);
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fastbit::{
-    evaluate_query, BitmapIndex, ColumnProvider, HistogramEngine, IdIndex, QueryExpr, Selection,
+    BitmapIndex, ColumnProvider, ExecStrategy, HistogramEngine, IdIndex, QueryExpr, Selection,
     ZoneMaps,
 };
 use histogram::Binning;
@@ -26,9 +26,9 @@ pub struct Dataset {
     id_index: Option<IdIndex>,
     step: usize,
     /// Lazily built per-column zone maps, keyed by `(column, chunk_rows)`,
-    /// shared across clones (clones alias the same column values). Built on
-    /// first chunked query and reused by every later one, so the chunked
-    /// evaluator's pruning never pays a second scan.
+    /// shared across clones (clones alias the same column values). Built by
+    /// the first scan at that chunk size and reused by every later one, so
+    /// zone-map pruning never pays a second scan.
     zone_maps: Arc<Mutex<ZoneMapCache>>,
 }
 
@@ -228,9 +228,10 @@ impl Dataset {
                 .sum::<usize>()
     }
 
-    /// Evaluate a compound Boolean range query, using indexes when available.
+    /// Evaluate a compound Boolean range query through the compiled engine,
+    /// using indexes when available.
     pub fn query(&self, expr: &QueryExpr) -> Result<Selection> {
-        evaluate_query(expr, self).map_err(DataStoreError::from)
+        fastbit::compile::evaluate(expr, self, ExecStrategy::Auto).map_err(DataStoreError::from)
     }
 
     /// Evaluate a textual query such as `"px > 8.872e10 && y > 0"`.
@@ -396,7 +397,8 @@ mod tests {
         let expr = fastbit::parse_query("px > 5e10 && x < 5e-4").unwrap();
         let sequential = d.query(&expr).unwrap();
         let exec = fastbit::ParExec::new(4, 512);
-        let chunked = fastbit::par::evaluate_chunked(&expr, &d, &exec).unwrap();
+        let chunked =
+            fastbit::compile::evaluate_with(&expr, &d, ExecStrategy::ScanOnly, &exec).unwrap();
         assert_eq!(chunked.to_rows(), sequential.to_rows());
         assert!(exec.stats().queries >= 1);
     }

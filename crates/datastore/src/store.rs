@@ -288,7 +288,7 @@ pub type StoreResult<T> = std::result::Result<T, StoreError>;
 // ---------------------------------------------------------------------------
 
 /// Chunk size the store persists zone maps at. Deliberately an independent
-/// format constant — it matches the chunked engine's current default (so
+/// format constant — it matches the query engine's current default (so
 /// warm-started servers prune without a build scan), but retuning
 /// `fastbit::par::DEFAULT_CHUNK_ROWS` must not change the bytes the writer
 /// emits for format v1 (the golden-file test pins them).

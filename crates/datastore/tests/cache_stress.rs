@@ -1,5 +1,5 @@
 //! Concurrency stress test for `DatasetCache`: many threads hammer
-//! load/evict under a tiny byte budget while chunked parallel queries run
+//! load/evict under a tiny byte budget while multi-threaded queries run
 //! against the datasets they get back. Asserts the run completes (no
 //! deadlock), the budget is never exceeded — not even transiently (peak
 //! watermark) — and the hit/miss accounting adds up exactly.
@@ -9,7 +9,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use datastore::{Catalog, Column, DatasetCache, DatasetCacheConfig, ParticleTable};
-use fastbit::par::{evaluate_chunked, ParExec};
+use fastbit::compile::evaluate_with;
+use fastbit::par::ParExec;
+use fastbit::ExecStrategy;
 use histogram::Binning;
 
 fn stress_catalog(tag: &str, steps: usize) -> (Arc<Catalog>, PathBuf) {
@@ -65,11 +67,12 @@ fn loads_and_evictions_under_tiny_budget_stay_consistent() {
                     let step = (t * 7 + i * 3) % steps;
                     let ds = cache.get_or_load(&catalog, step).unwrap();
                     assert_eq!(ds.step(), step);
-                    // Run a chunked parallel query against the dataset while
+                    // Run a two-thread chunked query against the dataset while
                     // other threads keep loading/evicting around it; the Arc
                     // keeps it valid even if it gets evicted mid-query.
                     if i % 5 == 0 {
-                        let sel = evaluate_chunked(&expr, &*ds, &exec).unwrap();
+                        let sel =
+                            evaluate_with(&expr, &*ds, ExecStrategy::ScanOnly, &exec).unwrap();
                         let oracle = ds.query(&expr).unwrap();
                         assert_eq!(sel.to_rows(), oracle.to_rows());
                         total_hits.fetch_add(sel.count(), Ordering::Relaxed);

@@ -1,11 +1,11 @@
-//! Query compilation: from a [`QueryExpr`] tree to a linear bytecode program.
+//! Query compilation and the query engine: from a [`QueryExpr`] tree to a
+//! linear bytecode program, executed over dense words.
 //!
-//! Both engines used to tree-walk the expression per evaluation (the chunked
-//! engine per *chunk*), re-dispatching on node kind and re-deriving planner
-//! decisions — index-vs-scan, equality-vs-range encoding, zone-map pruning —
-//! at every node. Deep compound drill-down queries, exactly the workload the
-//! paper's interactive exploration loop produces, pay that dispatch cost over
-//! and over.
+//! Deep compound drill-down queries, exactly the workload the paper's
+//! interactive exploration loop produces, would pay a tree walk's dispatch
+//! cost — re-dispatching on node kind and re-deriving planner decisions
+//! (index-vs-scan, equality-vs-range encoding, zone-map pruning) at every
+//! node — over and over.
 //!
 //! [`Program::compile`] normalizes the expression once
 //! ([`QueryExpr::normalized`]) and lowers it to a small linear program:
@@ -21,12 +21,15 @@
 //! and is rendered by the deterministic plan printer ([`Program::explain`])
 //! so planner choices are snapshot-testable.
 //!
-//! Execution is fused and word-at-a-time: [`execute`] materializes each slot
-//! as a dense `u64` bitmap (scan kernels fill words directly, index answers
-//! are expanded in bulk) and interprets the ops as tight word loops, emitting
-//! one WAH selection at the end. The determinism invariant, pinned by
-//! `tests/compile_differential.rs`, is that the compiled engine selects the
-//! same rows as the tree-walk evaluator and — for normalized expressions —
+//! Execution ([`execute_with`]) is the only query engine. Each index slot is
+//! answered once through its index; each scan slot fills a dense `u64`
+//! bitmap chunk by chunk on the [`ParExec`] pool, skipping the chunks its
+//! zone maps prove empty or full; the ops then run as tight word loops over
+//! whole bitmaps and one WAH selection is emitted at the end. The
+//! determinism invariant, pinned by `tests/compile_differential.rs`, is
+//! that the engine selects the same rows as the tree-walk evaluator
+//! ([`crate::evaluate_with_strategy`], kept as the reference oracle) at
+//! every thread count and chunk size and — for normalized expressions —
 //! emits bit-identical WAH words. Programs are cached by
 //! [`QueryExpr::cache_key`] in a [`PlanCache`].
 
@@ -37,8 +40,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::error::{FastBitError, Result};
 use crate::index::IndexEncoding;
-use crate::par::DEFAULT_CHUNK_ROWS;
-use crate::query::{evaluate_predicate, ColumnProvider, ExecStrategy, Predicate, QueryExpr};
+use crate::par::{ChunkTally, ParExec, ZoneMaps, ZoneVerdict, DEFAULT_CHUNK_ROWS};
+use crate::query::{ColumnProvider, ExecStrategy, Predicate, QueryExpr, ValueRange};
 use crate::selection::Selection;
 use crate::wah::Wah;
 
@@ -136,9 +139,8 @@ pub enum Root {
 // Planner decisions
 // ---------------------------------------------------------------------------
 
-/// How a predicate slot is answered against a concrete dataset — the planner
-/// decision previously re-derived inside `query.rs` / `par.rs` per
-/// evaluation, now bound once per plan and visible to the plan printer.
+/// How a predicate slot is answered against a concrete dataset — bound once
+/// per plan and visible to the plan printer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredSource {
     /// Scan the raw column row-by-row.
@@ -171,47 +173,6 @@ impl std::fmt::Display for PredSource {
                 };
                 let check = if exact { "exact" } else { "candidate-check" };
                 write!(f, "index (encoding={enc}, {check})")
-            }
-        }
-    }
-}
-
-/// Which engine a plan is bound for; determines the per-slot source rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanMode {
-    /// The sequential engine under an [`ExecStrategy`].
-    Sequential(ExecStrategy),
-    /// The chunked parallel engine.
-    Chunked {
-        /// Zone-map pruning enabled ([`crate::ParExec::pruning`]).
-        pruning: bool,
-        /// Bitmap-index acceleration enabled
-        /// ([`crate::ParExec::with_index_acceleration`]).
-        index_accel: bool,
-    },
-}
-
-impl std::fmt::Display for PlanMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            PlanMode::Sequential(s) => {
-                let s = match s {
-                    ExecStrategy::Auto => "auto",
-                    ExecStrategy::IndexOnly => "index-only",
-                    ExecStrategy::ScanOnly => "scan-only",
-                };
-                write!(f, "sequential({s})")
-            }
-            PlanMode::Chunked {
-                pruning,
-                index_accel,
-            } => {
-                write!(
-                    f,
-                    "chunked(pruning={}, index-accel={})",
-                    if pruning { "on" } else { "off" },
-                    if index_accel { "on" } else { "off" }
-                )
             }
         }
     }
@@ -402,25 +363,42 @@ impl Program {
         self.root
     }
 
-    /// Bind planner decisions against `provider` under `mode`: one
-    /// [`PredSource`] per slot, in slot order. Unanswerable predicates
-    /// surface the same errors, in the same order, as the tree-walk
-    /// evaluator (slot order is evaluation order).
-    pub fn plan(&self, provider: &impl ColumnProvider, mode: PlanMode) -> Result<Vec<PredSource>> {
+    /// Bind planner decisions against `provider` under `strategy`: one
+    /// [`PredSource`] per slot, in slot order. A scan's prune guard is armed
+    /// when the provider has zone maps at `chunk_rows`. Unanswerable
+    /// predicates surface the same errors, in the same order, as the
+    /// tree-walk evaluator (slot order is evaluation order).
+    pub fn plan(
+        &self,
+        provider: &impl ColumnProvider,
+        strategy: ExecStrategy,
+        chunk_rows: usize,
+    ) -> Result<Vec<PredSource>> {
         self.slots
             .iter()
-            .map(|pred| plan_predicate(pred, provider, mode))
+            .map(|pred| plan_predicate(pred, provider, strategy, chunk_rows))
             .collect()
     }
 
-    /// Render the bound plan as deterministic text for snapshot tests: the
-    /// cache key, the mode, every slot with its predicate and source, the op
-    /// listing, and the root.
-    pub fn explain(&self, provider: &impl ColumnProvider, mode: PlanMode) -> Result<String> {
-        let sources = self.plan(provider, mode)?;
+    /// Render the plan bound at [`DEFAULT_CHUNK_ROWS`] as deterministic
+    /// text for snapshot tests: the cache key, the strategy, every slot
+    /// with its predicate and source, the op listing, and the root.
+    pub fn explain(
+        &self,
+        provider: &impl ColumnProvider,
+        strategy: ExecStrategy,
+    ) -> Result<String> {
+        let sources = self.plan(provider, strategy, DEFAULT_CHUNK_ROWS)?;
+        let strategy = match strategy {
+            ExecStrategy::Auto => "auto",
+            ExecStrategy::IndexOnly => "index-only",
+            ExecStrategy::ScanOnly => "scan-only",
+        };
         let mut out = String::new();
         writeln!(out, "plan {}", self.key).expect("string write");
-        writeln!(out, "mode: {mode}").expect("string write");
+        // The op list runs sequentially over whole words at every thread
+        // count; only scan slots split into chunks.
+        writeln!(out, "mode: sequential({strategy})").expect("string write");
         for (i, (pred, source)) in self.slots.iter().zip(&sources).enumerate() {
             writeln!(out, "s{i}: {pred} <- {source}").expect("string write");
         }
@@ -441,26 +419,28 @@ impl Program {
     }
 }
 
-/// Resolve one predicate to its [`PredSource`] under `mode`, replicating the
-/// decision rules (and error strings) of the tree-walk evaluator
-/// (`query::evaluate_predicate`) and of the chunked engine (`par`).
+/// Resolve one predicate to its [`PredSource`] under `strategy`, replicating
+/// the decision rules (and error strings) of the tree-walk evaluator
+/// (`query::evaluate_predicate`).
 fn plan_predicate(
     pred: &Predicate,
     provider: &impl ColumnProvider,
-    mode: PlanMode,
+    strategy: ExecStrategy,
+    chunk_rows: usize,
 ) -> Result<PredSource> {
     let data = provider.column(&pred.column);
     let index = provider.index(&pred.column);
-    match mode {
-        PlanMode::Sequential(ExecStrategy::ScanOnly) => {
+    let scan = || PredSource::Scan {
+        pruned: zones_at(provider, &pred.column, chunk_rows).is_some(),
+    };
+    match strategy {
+        ExecStrategy::ScanOnly => {
             if data.is_none() {
                 return Err(FastBitError::UnknownColumn(pred.column.clone()));
             }
-            Ok(PredSource::Scan {
-                pruned: has_default_zones(provider, &pred.column),
-            })
+            Ok(scan())
         }
-        PlanMode::Sequential(ExecStrategy::IndexOnly) => {
+        ExecStrategy::IndexOnly => {
             let index = index.ok_or_else(|| {
                 FastBitError::RawDataRequired(format!("no index for column {}", pred.column))
             })?;
@@ -476,7 +456,7 @@ fn plan_predicate(
                 exact,
             })
         }
-        PlanMode::Sequential(ExecStrategy::Auto) => match (index, data) {
+        ExecStrategy::Auto => match (index, data) {
             (Some(index), Some(_)) => Ok(PredSource::Index {
                 encoding: index.choose_encoding(&pred.range),
                 exact: index.answers_exactly(&pred.range),
@@ -485,40 +465,26 @@ fn plan_predicate(
                 encoding: index.choose_encoding(&pred.range),
                 exact: true,
             }),
-            (_, Some(_)) => Ok(PredSource::Scan {
-                pruned: has_default_zones(provider, &pred.column),
-            }),
+            (_, Some(_)) => Ok(scan()),
             _ => Err(FastBitError::UnknownColumn(pred.column.clone())),
         },
-        PlanMode::Chunked {
-            pruning,
-            index_accel,
-        } => {
-            if data.is_none() {
-                return Err(FastBitError::UnknownColumn(pred.column.clone()));
-            }
-            match index.filter(|_| index_accel) {
-                Some(index) => Ok(PredSource::Index {
-                    encoding: index.choose_encoding(&pred.range),
-                    exact: index.answers_exactly(&pred.range),
-                }),
-                None => Ok(PredSource::Scan { pruned: pruning }),
-            }
-        }
     }
 }
 
-/// Whether `provider` carries usable zone maps for `column` at the default
-/// chunk size — the condition for arming a prune guard on a sequential scan.
-fn has_default_zones(provider: &impl ColumnProvider, column: &str) -> bool {
+/// The zone maps `provider` keeps for `column` at `chunk_rows`, when they
+/// cover the provider's rows at exactly that chunk size.
+fn zones_at(
+    provider: &impl ColumnProvider,
+    column: &str,
+    chunk_rows: usize,
+) -> Option<Arc<ZoneMaps>> {
     provider
-        .zone_maps(column, DEFAULT_CHUNK_ROWS)
-        .map(|z| z.chunk_rows() == DEFAULT_CHUNK_ROWS && z.num_rows() == provider.num_rows())
-        .unwrap_or(false)
+        .zone_maps(column, chunk_rows)
+        .filter(|z| z.chunk_rows() == chunk_rows && z.num_rows() == provider.num_rows())
 }
 
 // ---------------------------------------------------------------------------
-// Fused sequential execution
+// Execution
 // ---------------------------------------------------------------------------
 
 fn words_for(len: usize) -> usize {
@@ -553,32 +519,107 @@ fn set_bit_range(words: &mut [u64], start: usize, len: usize) {
     }
 }
 
-/// Scan rows `[start, start + len)` of `data` against `range`, setting the
-/// matching bits.
-fn scan_bit_range(
-    words: &mut [u64],
-    data: &[f64],
-    start: usize,
-    len: usize,
-    range: &crate::query::ValueRange,
-) {
-    for (i, &v) in data[start..start + len].iter().enumerate() {
+/// Scan `values` against `range`, setting bit `offset + i` for every
+/// matching `values[i]`.
+fn scan_bit_range(words: &mut [u64], values: &[f64], offset: usize, range: &ValueRange) {
+    for (i, &v) in values.iter().enumerate() {
         if range.contains(v) {
-            let row = start + i;
+            let row = offset + i;
             words[row / 64] |= 1u64 << (row % 64);
         }
     }
 }
 
-/// Materialize one slot as a dense word bitmap over all `n` rows.
-fn dense_slot(
+/// Fill the dense words of a scanned predicate chunk by chunk on `exec`:
+/// a chunk its zone proves empty stays zero, one it proves full is set
+/// without reading rows, and the rest are scanned.
+///
+/// Work is handed out in batches of whole chunks that also start on a word
+/// boundary (`lcm(chunk_rows, 64)` rows), so each batch fills words of its
+/// own and the batches concatenate. One thread takes every row as a single
+/// batch, filled in place.
+fn scan_words(
+    pred: &Predicate,
+    data: &[f64],
+    zones: Option<&ZoneMaps>,
+    exec: &ParExec,
+    tally: &mut ChunkTally,
+) -> Result<Vec<u64>> {
+    let n = data.len();
+    let chunk_rows = exec.chunk_rows();
+    let batch_rows = if exec.threads() == 1 {
+        n.max(1)
+    } else {
+        // lcm(chunk_rows, 64) = chunk_rows * 64 / gcd, and the gcd with a
+        // power of two is 2^min(trailing zeros, 6).
+        chunk_rows * (64 >> chunk_rows.trailing_zeros().min(6))
+    };
+    let batches = exec.run_chunks(n.div_ceil(batch_rows), |batch| {
+        let start = batch * batch_rows;
+        let end = (start + batch_rows).min(n);
+        let mut words = vec![0u64; words_for(end - start)];
+        let mut tally = ChunkTally::default();
+        let mut row = start;
+        while row < end {
+            let len = chunk_rows.min(end - row);
+            let local = row - start;
+            match zones.map(|z| z.zone(row / chunk_rows).classify(&pred.range)) {
+                Some(ZoneVerdict::Empty) => tally.pruned_empty += 1,
+                Some(ZoneVerdict::Full) => {
+                    tally.pruned_full += 1;
+                    set_bit_range(&mut words, local, len);
+                }
+                _ => {
+                    tally.scanned += 1;
+                    scan_bit_range(&mut words, &data[row..row + len], local, &pred.range);
+                }
+            }
+            row += len;
+        }
+        Ok((words, tally))
+    })?;
+    let mut batches = batches.into_iter();
+    let (mut words, first_tally) = batches.next().unwrap_or_default();
+    tally.add(&first_tally);
+    for (batch_words, batch_tally) in batches {
+        words.extend_from_slice(&batch_words);
+        tally.add(&batch_tally);
+    }
+    Ok(words)
+}
+
+/// The answer of one predicate slot: an index evaluation as the index
+/// returned it, or the dense words of a scan.
+enum SlotAnswer {
+    Index(Selection),
+    Words(Vec<u64>),
+}
+
+/// Answer one predicate slot: through its index once, or by a chunked scan.
+fn eval_slot(
     pred: &Predicate,
     source: PredSource,
     provider: &impl ColumnProvider,
-    n: usize,
-) -> Result<Vec<u64>> {
-    let mut words = vec![0u64; words_for(n)];
+    exec: &ParExec,
+    tally: &mut ChunkTally,
+) -> Result<SlotAnswer> {
+    let _slot = obs::span("slot");
+    obs::note("pred", || pred.to_string());
+    obs::note("source", || source_name(source).to_string());
+    let n = provider.num_rows();
     match source {
+        PredSource::Index { encoding, .. } => {
+            let index = provider
+                .index(&pred.column)
+                .ok_or_else(|| FastBitError::UnknownColumn(pred.column.clone()))?;
+            let selection = match provider.column(&pred.column) {
+                Some(data) => index.evaluate_with(&pred.range, data, encoding)?,
+                None => index.evaluate_index_only_with(&pred.range, encoding)?.0,
+            };
+            crate::index::note_encoding_query(encoding);
+            tally.indexed += n.div_ceil(exec.chunk_rows()) as u64;
+            Ok(SlotAnswer::Index(selection))
+        }
         PredSource::Scan { pruned } => {
             let data = provider
                 .column(&pred.column)
@@ -589,43 +630,18 @@ fn dense_slot(
                     data_rows: data.len(),
                 });
             }
-            let zones = if pruned {
-                provider
-                    .zone_maps(&pred.column, DEFAULT_CHUNK_ROWS)
-                    .filter(|z| z.chunk_rows() == DEFAULT_CHUNK_ROWS && z.num_rows() == n)
-            } else {
-                None
-            };
-            match zones {
-                Some(maps) => {
-                    for chunk in 0..maps.num_chunks() {
-                        let start = chunk * DEFAULT_CHUNK_ROWS;
-                        let len = DEFAULT_CHUNK_ROWS.min(n - start);
-                        match maps.zone(chunk).classify(&pred.range) {
-                            crate::par::ZoneVerdict::Empty => {}
-                            crate::par::ZoneVerdict::Full => set_bit_range(&mut words, start, len),
-                            crate::par::ZoneVerdict::Scan => {
-                                scan_bit_range(&mut words, data, start, len, &pred.range)
-                            }
-                        }
-                    }
-                }
-                None => scan_bit_range(&mut words, data, 0, n, &pred.range),
-            }
-        }
-        PredSource::Index { encoding, .. } => {
-            let index = provider
-                .index(&pred.column)
-                .ok_or_else(|| FastBitError::UnknownColumn(pred.column.clone()))?;
-            let selection = match provider.column(&pred.column) {
-                Some(data) => index.evaluate_with(&pred.range, data, encoding)?,
-                None => index.evaluate_index_only_with(&pred.range, encoding)?.0,
-            };
-            crate::index::note_encoding_query(encoding);
-            selection.as_wah().write_dense_words(&mut words);
+            let zones = pruned
+                .then(|| zones_at(provider, &pred.column, exec.chunk_rows()))
+                .flatten();
+            Ok(SlotAnswer::Words(scan_words(
+                pred,
+                data,
+                zones.as_deref(),
+                exec,
+                tally,
+            )?))
         }
     }
-    Ok(words)
 }
 
 fn and_words(dst: &mut [u64], src: &[u64]) {
@@ -649,44 +665,68 @@ fn source_name(source: PredSource) -> &'static str {
     }
 }
 
-/// Execute a compiled program against `provider` with the sequential fused
-/// engine. The selected rows equal tree-walk evaluation of the same
-/// expression; for the program's (normalized) expression the WAH words are
-/// bit-identical too.
+/// Execute a compiled program against `provider` on a single thread at
+/// [`DEFAULT_CHUNK_ROWS`] — [`execute_with`] on [`ParExec::sequential`].
 pub fn execute(
     program: &Program,
     provider: &impl ColumnProvider,
     strategy: ExecStrategy,
 ) -> Result<Selection> {
+    execute_with(program, provider, strategy, &ParExec::sequential())
+}
+
+/// Execute a compiled program against `provider`, splitting scan work as
+/// `exec` says and counting the evaluation and its chunks in `exec`'s
+/// statistics. The selected rows equal tree-walk evaluation of the same
+/// expression at every thread count and chunk size; for the program's
+/// (normalized) expression the WAH words are bit-identical too. A
+/// single-predicate program answered by an index returns the index's
+/// selection as it is.
+pub fn execute_with(
+    program: &Program,
+    provider: &impl ColumnProvider,
+    strategy: ExecStrategy,
+    exec: &ParExec,
+) -> Result<Selection> {
     let _eval = obs::span("evaluate");
+    let mut tally = ChunkTally::default();
+    let selection = run(program, provider, strategy, exec, &mut tally)?;
+    exec.record(&tally);
+    Ok(selection)
+}
+
+fn run(
+    program: &Program,
+    provider: &impl ColumnProvider,
+    strategy: ExecStrategy,
+    exec: &ParExec,
+    tally: &mut ChunkTally,
+) -> Result<Selection> {
     let n = provider.num_rows();
-    match program.root {
-        // A single-predicate program delegates to the exact tree-walk leaf
-        // path (identical output form and counters by construction).
-        Root::Pred(slot) => {
-            let pred = &program.slots[slot as usize];
-            let _slot = obs::span("slot");
-            obs::note("pred", || pred.to_string());
-            if obs::is_active() {
-                // The source note is trace-only decoration; plan() is cheap
-                // next to the evaluation but still skipped when untraced.
-                if let Ok(sources) = program.plan(provider, PlanMode::Sequential(strategy)) {
-                    obs::note("source", || source_name(sources[slot as usize]).to_string());
-                }
-            }
-            return evaluate_predicate(pred, provider, strategy);
-        }
+    let sources = match program.root {
         Root::Const(true) => return Ok(Selection::all(n)),
         Root::Const(false) => return Ok(Selection::none(n)),
-        Root::Ops { .. } => {}
+        _ => program.plan(provider, strategy, exec.chunk_rows())?,
+    };
+    if let Root::Pred(slot) = program.root {
+        let slot = slot as usize;
+        return Ok(
+            match eval_slot(&program.slots[slot], sources[slot], provider, exec, tally)? {
+                SlotAnswer::Index(selection) => selection,
+                // The tree-walk scans a leaf through a `WahBuilder`; emit
+                // that word stream.
+                SlotAnswer::Words(words) => {
+                    Selection::from_wah(Wah::from_dense_words_as_built(&words, n as u64))
+                }
+            },
+        );
     }
-    let sources = program.plan(provider, PlanMode::Sequential(strategy))?;
     let mut slot_words = Vec::with_capacity(program.slots.len());
     for (pred, &source) in program.slots.iter().zip(&sources) {
-        let _slot = obs::span("slot");
-        obs::note("pred", || pred.to_string());
-        obs::note("source", || source_name(source).to_string());
-        slot_words.push(dense_slot(pred, source, provider, n)?);
+        slot_words.push(match eval_slot(pred, source, provider, exec, tally)? {
+            SlotAnswer::Index(selection) => selection.to_dense_words(),
+            SlotAnswer::Words(words) => words,
+        });
     }
     let _combine = obs::span("combine");
     let mut regs: Vec<Vec<u64>> = vec![Vec::new(); program.num_regs];
@@ -736,14 +776,24 @@ pub fn execute(
     )))
 }
 
-/// Compile `expr` and execute it sequentially — the drop-in compiled
-/// counterpart of [`crate::evaluate_with_strategy`].
+/// Compile `expr` and [`execute`] it — the compiled counterpart of
+/// [`crate::evaluate_with_strategy`].
 pub fn evaluate(
     expr: &QueryExpr,
     provider: &impl ColumnProvider,
     strategy: ExecStrategy,
 ) -> Result<Selection> {
     execute(&Program::compile(expr), provider, strategy)
+}
+
+/// Compile `expr` and [`execute_with`] it on `exec`.
+pub fn evaluate_with(
+    expr: &QueryExpr,
+    provider: &impl ColumnProvider,
+    strategy: ExecStrategy,
+    exec: &ParExec,
+) -> Result<Selection> {
+    execute_with(&Program::compile(expr), provider, strategy, exec)
 }
 
 // ---------------------------------------------------------------------------
@@ -1066,12 +1116,8 @@ mod tests {
         let p = ramp(100);
         let e = parse_query("(x > 1 && y < 5) || !(x > 1)").unwrap();
         let program = Program::compile(&e);
-        let a = program
-            .explain(&p, PlanMode::Sequential(ExecStrategy::ScanOnly))
-            .unwrap();
-        let b = program
-            .explain(&p, PlanMode::Sequential(ExecStrategy::ScanOnly))
-            .unwrap();
+        let a = program.explain(&p, ExecStrategy::ScanOnly).unwrap();
+        let b = program.explain(&p, ExecStrategy::ScanOnly).unwrap();
         assert_eq!(a, b);
         assert!(a.starts_with(&format!("plan {}\n", e.cache_key())));
         assert!(a.contains("<- scan"));

@@ -13,12 +13,15 @@
 //!
 //! [`HistogramEngine`] exposes both, with a FastBit-style indexed path and a
 //! "Custom" scan path so the two can be benchmarked against each other as in
-//! Figures 11, 12 and 14.
+//! Figures 11, 12 and 14. Its [`ParExec`] decides how the work splits: one
+//! thread bins the selected rows in one pass; more threads bin per chunk
+//! over the dense selection words and merge the partials in chunk order, to
+//! the same counts.
 
 use histogram::{rebin_equal_weight, BinEdges, Hist1D, Hist2D};
 
 use crate::error::{FastBitError, Result};
-use crate::par::{self, ChunkMasks, ParExec};
+use crate::par::ParExec;
 use crate::query::{ColumnProvider, ExecStrategy, QueryExpr};
 use crate::selection::Selection;
 
@@ -48,7 +51,7 @@ impl BinSpec {
 /// Which implementation computes the histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistEngine {
-    /// Index-accelerated path (FastBit in the paper's charts).
+    /// Indexed path (FastBit in the paper's charts).
     FastBit,
     /// Sequential scan of the raw data (the "Custom" baseline).
     Custom,
@@ -57,12 +60,20 @@ pub enum HistEngine {
 /// Histogram computation facade over a [`ColumnProvider`].
 pub struct HistogramEngine<'a, P: ColumnProvider> {
     provider: &'a P,
+    exec: ParExec,
 }
 
 impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
-    /// Create an engine reading columns (and indexes) from `provider`.
+    /// Create a single-threaded engine reading columns (and indexes) from
+    /// `provider`.
     pub fn new(provider: &'a P) -> Self {
-        Self { provider }
+        Self::with_exec(provider, ParExec::sequential())
+    }
+
+    /// Create an engine whose condition evaluation and binning split their
+    /// work as `exec` says.
+    pub fn with_exec(provider: &'a P, exec: ParExec) -> Self {
+        Self { provider, exec }
     }
 
     fn column(&self, name: &str) -> Result<&'a [f64]> {
@@ -132,8 +143,8 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
     }
 
     /// Evaluate the condition of a conditional histogram through the
-    /// compiled engine (selected rows identical to tree-walk evaluation —
-    /// pinned by `tests/compile_differential.rs`).
+    /// compiled engine on this engine's executor (selected rows identical to
+    /// tree-walk evaluation — pinned by `tests/compile_differential.rs`).
     pub fn evaluate_condition(
         &self,
         condition: &QueryExpr,
@@ -143,7 +154,7 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
             HistEngine::FastBit => ExecStrategy::Auto,
             HistEngine::Custom => ExecStrategy::ScanOnly,
         };
-        crate::compile::evaluate(condition, self.provider, strategy)
+        crate::compile::evaluate_with(condition, self.provider, strategy, &self.exec)
     }
 
     /// Compute a 1D histogram of `column`.
@@ -170,10 +181,17 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
         }
 
         let data = self.column(column)?;
-        Ok(match &selection {
-            None => Hist1D::from_data(edges, data),
-            Some(sel) => Hist1D::from_data_masked(edges, data, sel.iter_rows()),
-        })
+        if self.exec.threads() == 1 {
+            return Ok(match &selection {
+                None => Hist1D::from_data(edges, data),
+                Some(sel) => Hist1D::from_data_masked(edges, data, sel.iter_rows()),
+            });
+        }
+        if let Some(sel) = &selection {
+            sel.check_rows(data.len())?;
+        }
+        let words = selection.as_ref().map(Selection::to_dense_words);
+        par_hist1d(edges, data, words.as_deref(), &self.exec)
     }
 
     /// Compute a 2D histogram of the pair `(x_column, y_column)` — the unit
@@ -222,13 +240,17 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
                 data_rows: ys.len(),
             });
         }
-        Ok(match selection {
-            None => Hist2D::from_data(x_edges, y_edges, xs, ys),
-            Some(sel) => {
-                sel.check_rows(xs.len())?;
-                Hist2D::from_data_masked(x_edges, y_edges, xs, ys, sel.iter_rows())
-            }
-        })
+        if let Some(sel) = selection {
+            sel.check_rows(xs.len())?;
+        }
+        if self.exec.threads() == 1 {
+            return Ok(match selection {
+                None => Hist2D::from_data(x_edges, y_edges, xs, ys),
+                Some(sel) => Hist2D::from_data_masked(x_edges, y_edges, xs, ys, sel.iter_rows()),
+            });
+        }
+        let words = selection.map(Selection::to_dense_words);
+        par_hist2d(x_edges, y_edges, xs, ys, words.as_deref(), &self.exec)
     }
 
     /// Compute the 2D histograms of several adjacent axis pairs under one
@@ -251,123 +273,44 @@ impl<'a, P: ColumnProvider> HistogramEngine<'a, P> {
     }
 }
 
-/// A condition evaluated by the chunked parallel engine: the per-chunk masks
-/// (for parallel binning) together with the merged [`Selection`] (for edge
-/// resolution and for callers that need the row set).
-#[derive(Debug, Clone)]
-pub struct EvaluatedCondition {
-    /// Per-chunk match masks.
-    pub masks: ChunkMasks,
-    /// The merged selection (same row set as sequential evaluation).
-    pub selection: Selection,
-}
-
-impl<'a, P: ColumnProvider + Sync> HistogramEngine<'a, P> {
-    /// Evaluate a condition with the chunked parallel engine. The selected
-    /// row set is identical to [`HistogramEngine::evaluate_condition`] for
-    /// either engine — chunked evaluation is scan-exact by construction.
-    pub fn evaluate_condition_chunked(
-        &self,
-        condition: &QueryExpr,
-        exec: &ParExec,
-    ) -> Result<EvaluatedCondition> {
-        let masks = par::evaluate_chunk_masks(condition, self.provider, exec)?;
-        let selection = masks.to_selection();
-        Ok(EvaluatedCondition { masks, selection })
-    }
-
-    /// Parallel counterpart of [`HistogramEngine::hist1d`]: the condition is
-    /// evaluated chunk-by-chunk (zone-map pruned) and the binning itself is
-    /// chunked across the pool, with per-chunk partial counts merged in
-    /// chunk order. Bin edges are resolved exactly as in the sequential
-    /// path, so the resulting histogram is identical bin-for-bin.
-    pub fn hist1d_par(
-        &self,
-        column: &str,
-        spec: &BinSpec,
-        condition: Option<&QueryExpr>,
-        engine: HistEngine,
-        exec: &ParExec,
-    ) -> Result<Hist1D> {
-        let cond = condition
-            .map(|c| self.evaluate_condition_chunked(c, exec))
-            .transpose()?;
-        let edges =
-            self.resolve_edges(column, spec, cond.as_ref().map(|c| &c.selection), engine)?;
-
-        // Mirror the sequential pure-index fast path bit-for-bit: an
-        // unconditional FastBit request whose edges coincide with the index
-        // reads the counts straight off the bitmaps.
-        if engine == HistEngine::FastBit && cond.is_none() {
-            if let Some(idx) = self.provider.index(column) {
-                if idx.edges() == &edges {
-                    return Ok(Hist1D::from_counts(edges, idx.bin_counts())?);
-                }
-            }
+/// Call `f` with every row in `[start, end)` whose bit is set in `words`,
+/// in increasing order.
+fn for_each_selected(words: &[u64], start: usize, end: usize, mut f: impl FnMut(usize)) {
+    let mut base = start - start % 64;
+    while base < end {
+        let mut w = words[base / 64];
+        if base < start {
+            w &= u64::MAX << (start - base);
         }
-
-        let data = self.column(column)?;
-        par_hist1d(edges, data, cond.as_ref().map(|c| &c.masks), exec)
-    }
-
-    /// Parallel counterpart of [`HistogramEngine::hist2d_with_selection`],
-    /// reusing an already chunk-evaluated condition so several axis pairs
-    /// can share one evaluation.
-    #[allow(clippy::too_many_arguments)] // mirrors hist2d_with_selection + exec
-    pub fn hist2d_with_condition_par(
-        &self,
-        x_column: &str,
-        y_column: &str,
-        x_spec: &BinSpec,
-        y_spec: &BinSpec,
-        cond: Option<&EvaluatedCondition>,
-        engine: HistEngine,
-        exec: &ParExec,
-    ) -> Result<Hist2D> {
-        let selection = cond.map(|c| &c.selection);
-        let x_edges = self.resolve_edges(x_column, x_spec, selection, engine)?;
-        let y_edges = self.resolve_edges(y_column, y_spec, selection, engine)?;
-        let xs = self.column(x_column)?;
-        let ys = self.column(y_column)?;
-        if xs.len() != ys.len() {
-            return Err(FastBitError::RowCountMismatch {
-                index_rows: xs.len(),
-                data_rows: ys.len(),
-            });
+        if end - base < 64 {
+            w &= (1u64 << (end - base)) - 1;
         }
-        if let Some(sel) = selection {
-            sel.check_rows(xs.len())?;
+        while w != 0 {
+            f(base + w.trailing_zeros() as usize);
+            w &= w - 1;
         }
-        par_hist2d(x_edges, y_edges, xs, ys, cond.map(|c| &c.masks), exec)
+        base += 64;
     }
 }
 
-/// Chunked 1D binning: each chunk bins its (selected) rows into a private
-/// histogram; partials are merged in chunk order. Counts are exact integer
-/// sums, so the result equals the sequential histogram bin-for-bin.
+/// Chunked 1D binning: each chunk bins its rows (the ones set in `words`,
+/// or all) into a private histogram; partials are merged in chunk order.
+/// Counts are exact integer sums, so the result equals the sequential
+/// histogram bin-for-bin.
 fn par_hist1d(
     edges: BinEdges,
     data: &[f64],
-    masks: Option<&ChunkMasks>,
+    words: Option<&[u64]>,
     exec: &ParExec,
 ) -> Result<Hist1D> {
-    if let Some(m) = masks {
-        if m.num_rows() != data.len() {
-            return Err(FastBitError::RowCountMismatch {
-                index_rows: m.num_rows(),
-                data_rows: data.len(),
-            });
-        }
-    }
     let chunk_rows = exec.chunk_rows();
-    let num_chunks = data.len().div_ceil(chunk_rows);
-    let partials = exec.run_chunks(num_chunks, |chunk| {
+    let partials = exec.run_chunks(data.len().div_ceil(chunk_rows), |chunk| {
         let start = chunk * chunk_rows;
-        let len = chunk_rows.min(data.len() - start);
+        let end = (start + chunk_rows).min(data.len());
         let mut h = Hist1D::new(edges.clone());
-        match masks {
-            None => h.accumulate(&data[start..start + len]),
-            Some(m) => m.mask(chunk).for_each_row(len, |r| h.push(data[start + r])),
+        match words {
+            None => h.accumulate(&data[start..end]),
+            Some(w) => for_each_selected(w, start, end, |r| h.push(data[r])),
         }
         Ok(h)
     })?;
@@ -384,28 +327,17 @@ fn par_hist2d(
     y_edges: BinEdges,
     xs: &[f64],
     ys: &[f64],
-    masks: Option<&ChunkMasks>,
+    words: Option<&[u64]>,
     exec: &ParExec,
 ) -> Result<Hist2D> {
-    if let Some(m) = masks {
-        if m.num_rows() != xs.len() {
-            return Err(FastBitError::RowCountMismatch {
-                index_rows: m.num_rows(),
-                data_rows: xs.len(),
-            });
-        }
-    }
     let chunk_rows = exec.chunk_rows();
-    let num_chunks = xs.len().div_ceil(chunk_rows);
-    let partials = exec.run_chunks(num_chunks, |chunk| {
+    let partials = exec.run_chunks(xs.len().div_ceil(chunk_rows), |chunk| {
         let start = chunk * chunk_rows;
-        let len = chunk_rows.min(xs.len() - start);
+        let end = (start + chunk_rows).min(xs.len());
         let mut h = Hist2D::new(x_edges.clone(), y_edges.clone());
-        match masks {
-            None => h.accumulate(&xs[start..start + len], &ys[start..start + len]),
-            Some(m) => m
-                .mask(chunk)
-                .for_each_row(len, |r| h.push(xs[start + r], ys[start + r])),
+        match words {
+            None => h.accumulate(&xs[start..end], &ys[start..end]),
+            Some(w) => for_each_selected(w, start, end, |r| h.push(xs[r], ys[r])),
         }
         Ok(h)
     })?;
@@ -634,8 +566,8 @@ mod tests {
             ] {
                 for eng in [HistEngine::FastBit, HistEngine::Custom] {
                     let seq = engine.hist1d("px", &spec, condition, eng).unwrap();
-                    let par = engine
-                        .hist1d_par("px", &spec, condition, eng, &exec)
+                    let par = HistogramEngine::with_exec(&p, exec.clone())
+                        .hist1d("px", &spec, condition, eng)
                         .unwrap();
                     assert_eq!(par, seq, "{spec:?} {eng:?}");
                 }
@@ -649,13 +581,12 @@ mod tests {
         let engine = HistogramEngine::new(&p);
         let idx_edges = p.indexes["px"].edges().clone();
         let exec = ParExec::new(2, 256);
-        let par = engine
-            .hist1d_par(
+        let par = HistogramEngine::with_exec(&p, exec)
+            .hist1d(
                 "px",
                 &BinSpec::Edges(idx_edges.clone()),
                 None,
                 HistEngine::FastBit,
-                &exec,
             )
             .unwrap();
         let seq = engine
@@ -669,22 +600,23 @@ mod tests {
         let p = provider(5000);
         let engine = HistogramEngine::new(&p);
         let cond = QueryExpr::pred("px", ValueRange::gt(5e10));
-        let exec = ParExec::new(3, 333);
-        let evaluated = engine.evaluate_condition_chunked(&cond, &exec).unwrap();
+        let par_engine = HistogramEngine::with_exec(&p, ParExec::new(3, 333));
+        let evaluated = par_engine
+            .evaluate_condition(&cond, HistEngine::Custom)
+            .unwrap();
         let spec = BinSpec::Uniform(48);
         let seq_sel = engine
             .evaluate_condition(&cond, HistEngine::FastBit)
             .unwrap();
-        assert_eq!(evaluated.selection.to_rows(), seq_sel.to_rows());
-        let par = engine
-            .hist2d_with_condition_par(
+        assert_eq!(evaluated.to_rows(), seq_sel.to_rows());
+        let par = par_engine
+            .hist2d_with_selection(
                 "x",
                 "px",
                 &spec,
                 &spec,
                 Some(&evaluated),
                 HistEngine::FastBit,
-                &exec,
             )
             .unwrap();
         let seq = engine
@@ -693,8 +625,8 @@ mod tests {
         assert_eq!(par.counts(), seq.counts());
         assert_eq!(par.out_of_range(), seq.out_of_range());
         // Unconditional as well.
-        let par_u = engine
-            .hist2d_with_condition_par("x", "px", &spec, &spec, None, HistEngine::Custom, &exec)
+        let par_u = par_engine
+            .hist2d_with_selection("x", "px", &spec, &spec, None, HistEngine::Custom)
             .unwrap();
         let seq_u = engine
             .hist2d_with_selection("x", "px", &spec, &spec, None, HistEngine::Custom)

@@ -20,11 +20,11 @@
 //!   answers `ID IN (…)` queries in time proportional to the number of rows
 //!   found, the operation behind particle tracking.
 //! * [`query`] — compound Boolean range-query expressions
-//!   (`px > 1e9 && py < 1e8 && y > 0`), evaluated either through the indexes
-//!   or by sequential scan, plus a small parser for paper-style query
-//!   strings.
+//!   (`px > 1e9 && py < 1e8 && y > 0`), a small parser for paper-style
+//!   query strings, and the tree-walk evaluator that the compiled engine is
+//!   checked against (the tests' and benchmarks' reference oracle).
 //! * [`hist`] — unconditional and conditional 1D/2D histogram computation,
-//!   both index-accelerated and scan-based.
+//!   both indexed and scan-based.
 //! * [`scan`] — the "Custom" sequential-scan baseline used throughout the
 //!   paper's evaluation (Figures 11–17).
 //! * [`persist`] — std-only binary encoders/decoders for `BitmapIndex`,
@@ -33,17 +33,17 @@
 //!   typed `PersistError`, never a panic or an unbounded allocation. The
 //!   datastore crate's `vdx` store builds its checksummed segment files on
 //!   top of these.
-//! * [`par`] — the chunked parallel evaluation engine: fixed-size row chunks
-//!   carrying zone maps (min/max/NaN count), a std-only work-queue thread
-//!   pool, and per-chunk query evaluation that skips chunks the zone map
-//!   proves empty or full. Deterministic: the selected row set is identical
-//!   to sequential evaluation for every thread count and chunk size.
-//! * [`compile`] — query compilation: a normalized [`query::QueryExpr`] is
+//! * [`par`] — zone maps (min/max/NaN count per fixed-size row chunk) and
+//!   [`par::ParExec`], the std-only work-queue pool that splits one
+//!   evaluation's scans and histogram binning into chunks, skipping chunks
+//!   a zone map proves empty or full. Deterministic: the answer is the same
+//!   for every thread count and chunk size.
+//! * [`compile`] — the query engine: a normalized [`query::QueryExpr`] is
 //!   lowered once into a linear bytecode [`compile::Program`] (predicate
 //!   slots, AND/OR/NOT over mask registers, planner decisions bound per
-//!   dataset) and evaluated with fused word-at-a-time kernels by both
-//!   engines, with a deterministic plan printer and an LRU
-//!   [`compile::PlanCache`] keyed by [`query::QueryExpr::cache_key`].
+//!   dataset) and evaluated with fused word-at-a-time kernels, with a
+//!   deterministic plan printer and an LRU [`compile::PlanCache`] keyed by
+//!   [`query::QueryExpr::cache_key`].
 
 #![deny(missing_docs)]
 
@@ -60,18 +60,18 @@ pub mod selection;
 pub mod wah;
 
 pub use bitvec::BitVec;
-pub use compile::{OpCode, PlanCache, PlanCacheStats, PlanMode, PredSource, Program, Root};
+pub use compile::{OpCode, PlanCache, PlanCacheStats, PredSource, Program, Root};
 pub use error::{FastBitError, Result};
 pub use hist::{BinSpec, HistEngine, HistogramEngine};
 pub use index::{
     encoding_stats, register_encoding_metrics, BitmapIndex, EncodingStatsSnapshot, IdIndex,
     IndexEncoding,
 };
-pub use par::{ChunkMasks, ParExec, ParStatsSnapshot, Zone, ZoneMaps};
+pub use par::{ParExec, ParStatsSnapshot, Zone, ZoneMaps};
 pub use persist::{PersistError, PersistResult};
 pub use query::{
-    evaluate as evaluate_query, evaluate_with_strategy, parse_query, ColumnProvider, ExecStrategy,
-    Predicate, QueryExpr, ValueRange,
+    evaluate_with_strategy, parse_query, ColumnProvider, ExecStrategy, Predicate, QueryExpr,
+    ValueRange,
 };
 pub use selection::Selection;
 pub use wah::Wah;

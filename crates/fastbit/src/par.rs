@@ -1,41 +1,31 @@
-//! Chunked parallel query evaluation with zone-map pruning.
+//! Zone maps and the chunk executor of the compiled query engine.
 //!
 //! The paper's headline numbers come from *parallel* index evaluation and
 //! histogram computation; this module supplies the intra-query half of that
 //! story. Columns are partitioned into fixed-size row chunks, each carrying a
-//! [`Zone`] (min / max / NaN count). A compound [`QueryExpr`] is evaluated
-//! chunk-by-chunk over a small work-queue thread pool
-//! (`std::thread::scope`-based, no external dependencies):
+//! [`Zone`] (min / max / NaN count). The compiled engine
+//! ([`crate::compile::execute_with`]) fills a scanned predicate's dense words
+//! chunk by chunk through [`ParExec::run_chunks`]:
 //!
-//! * a chunk whose zone proves the predicate can match **nothing** is pruned
-//!   to an empty mask without touching a single row;
+//! * a chunk whose zone proves the predicate can match **nothing** is left
+//!   empty without touching a single row;
 //! * a chunk whose zone proves **every** row matches (no NaNs, value interval
-//!   fully inside the query range) is pruned to a full mask;
+//!   fully inside the query range) is filled without reading its rows;
 //! * only the remaining chunks are scanned row-by-row.
 //!
-//! With [`ParExec::with_index_acceleration`] enabled, a predicate whose
-//! column carries a [`crate::BitmapIndex`] skips chunk scanning altogether:
-//! the index answers the predicate once (the per-query cost model picks the
-//! equality or range encoding) and chunk workers slice their masks out of
-//! that single dense answer.
-//!
-//! Per-chunk masks are merged *in chunk order* into one WAH-compressed
-//! [`Selection`], so the selected row set is a pure function of the data and
-//! the query — independent of thread count, chunk size, pruning, and index
-//! acceleration. The differential suites in `tests/par_differential.rs`,
-//! `tests/zone_map_adversarial.rs` and `tests/encoding_differential.rs` pin
-//! exactly that: parallel evaluation can never silently mean "different
-//! answers".
+//! Histogram binning splits the same way ([`crate::HistogramEngine`]): each
+//! chunk bins its selected rows into a private histogram and the partials
+//! merge in chunk order. The thread count and chunk size decide only how the
+//! work is split, never the answer: the differential suites in
+//! `tests/par_differential.rs`, `tests/zone_map_adversarial.rs` and
+//! `tests/encoding_differential.rs` pin the selected rows and histogram
+//! counts to the sequential oracle at every setting.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::compile::{OpCode, PlanMode, PredSource, Program, Root};
 use crate::error::{FastBitError, Result};
-use crate::query::{ColumnProvider, Predicate, QueryExpr, ValueRange};
-use crate::selection::Selection;
-use crate::wah::WahBuilder;
+use crate::query::ValueRange;
 
 /// Default number of rows per evaluation chunk. Small enough that zone-map
 /// pruning has real resolution on clustered data, large enough that the
@@ -200,7 +190,7 @@ pub struct ParStats {
 /// A point-in-time snapshot of [`ParStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParStatsSnapshot {
-    /// Chunked query evaluations performed.
+    /// Query evaluations performed (every compiled-program execution).
     pub queries: u64,
     /// Predicate-chunks proven empty by a zone map (no rows touched).
     pub chunks_pruned_empty: u64,
@@ -208,8 +198,8 @@ pub struct ParStatsSnapshot {
     pub chunks_pruned_full: u64,
     /// Predicate-chunks that had to be scanned row-by-row.
     pub chunks_scanned: u64,
-    /// Predicate-chunks answered by slicing a precomputed bitmap-index
-    /// evaluation (see [`ParExec::with_index_acceleration`]).
+    /// Predicate-chunks covered by a bitmap-index answer (the index answers
+    /// the whole predicate once; every chunk it covers is counted).
     pub chunks_indexed: u64,
 }
 
@@ -225,32 +215,38 @@ impl ParStats {
     }
 }
 
-/// Per-evaluation chunk tallies. Workers accumulate here so one query's
-/// pruning counts can be attached to its trace; the coordinator flushes the
-/// totals into the executor's lifetime [`ParStats`] once the chunks finish.
+/// Chunk tallies of one evaluation. Each chunk task returns its own, the
+/// coordinator sums them and [`ParExec::record`] flushes the total into the
+/// lifetime [`ParStats`] and onto the active trace.
 #[derive(Debug, Default)]
-struct ChunkTally {
-    pruned_empty: AtomicU64,
-    pruned_full: AtomicU64,
-    scanned: AtomicU64,
-    indexed: AtomicU64,
+pub(crate) struct ChunkTally {
+    pub(crate) pruned_empty: u64,
+    pub(crate) pruned_full: u64,
+    pub(crate) scanned: u64,
+    pub(crate) indexed: u64,
 }
 
-/// Configuration of the chunked parallel evaluator: thread count, chunk size
-/// and whether zone-map pruning is enabled (disabling it exists for the
-/// prune-vs-scan differential tests — results must be identical either way).
+impl ChunkTally {
+    pub(crate) fn add(&mut self, other: &ChunkTally) {
+        self.pruned_empty += other.pruned_empty;
+        self.pruned_full += other.pruned_full;
+        self.scanned += other.scanned;
+        self.indexed += other.indexed;
+    }
+}
+
+/// How the compiled engine splits one evaluation: the worker-thread count
+/// and the rows per chunk. Clones share one set of lifetime [`ParStats`].
 #[derive(Debug, Clone)]
 pub struct ParExec {
     threads: usize,
     chunk_rows: usize,
-    pruning: bool,
-    index_accel: bool,
     stats: Arc<ParStats>,
 }
 
 impl Default for ParExec {
     fn default() -> Self {
-        Self::new(1, DEFAULT_CHUNK_ROWS)
+        Self::sequential()
     }
 }
 
@@ -261,41 +257,14 @@ impl ParExec {
         Self {
             threads: threads.max(1),
             chunk_rows: chunk_rows.max(1),
-            pruning: true,
-            index_accel: false,
             stats: Arc::new(ParStats::default()),
         }
     }
 
-    /// A single-threaded executor (chunked algorithm, run inline).
+    /// A single-threaded executor at [`DEFAULT_CHUNK_ROWS`]: every chunk
+    /// runs inline on the caller's thread.
     pub fn sequential() -> Self {
         Self::new(1, DEFAULT_CHUNK_ROWS)
-    }
-
-    /// Disable zone-map pruning: every chunk is scanned. The answer must be
-    /// byte-identical; only the work changes.
-    pub fn without_pruning(mut self) -> Self {
-        self.pruning = false;
-        self
-    }
-
-    /// Enable (or disable) bitmap-index acceleration: a predicate whose
-    /// column has a [`crate::BitmapIndex`] is evaluated *once* through the
-    /// index — the per-query encoding cost model
-    /// ([`crate::BitmapIndex::choose_encoding`]) picks equality or range
-    /// encoding — and the chunk workers slice their masks out of that one
-    /// answer instead of scanning rows. Off by default so the engine keeps
-    /// its historical pure-scan semantics (and so the `Custom` scan baseline
-    /// stays a baseline even on cached datasets that carry indexes). The
-    /// selected row set is byte-identical either way; only the work changes.
-    pub fn with_index_acceleration(mut self, on: bool) -> Self {
-        self.index_accel = on;
-        self
-    }
-
-    /// Whether bitmap-index acceleration is enabled.
-    pub fn index_acceleration(&self) -> bool {
-        self.index_accel
     }
 
     /// Number of worker threads.
@@ -308,14 +277,27 @@ impl ParExec {
         self.chunk_rows
     }
 
-    /// Whether zone-map pruning is enabled.
-    pub fn pruning(&self) -> bool {
-        self.pruning
-    }
-
     /// Snapshot of the lifetime counters.
     pub fn stats(&self) -> ParStatsSnapshot {
         self.stats.snapshot()
+    }
+
+    /// Count one evaluation and its chunk tallies, in the lifetime counters
+    /// and on the active trace.
+    pub(crate) fn record(&self, tally: &ChunkTally) {
+        let s = &self.stats;
+        s.queries.fetch_add(1, Ordering::Relaxed);
+        for (counter, v, name) in [
+            (&s.chunks_pruned_empty, tally.pruned_empty, "pruned_empty"),
+            (&s.chunks_pruned_full, tally.pruned_full, "pruned_full"),
+            (&s.chunks_scanned, tally.scanned, "scanned"),
+            (&s.chunks_indexed, tally.indexed, "indexed"),
+        ] {
+            if v > 0 {
+                counter.fetch_add(v, Ordering::Relaxed);
+                obs::count(name, v);
+            }
+        }
     }
 
     /// Register this executor's lifetime counters into a metrics registry:
@@ -326,7 +308,7 @@ impl ParExec {
         let stats = Arc::clone(&self.stats);
         registry.counter_fn(
             "vdx_par_queries_total",
-            "Chunked parallel query evaluations performed.",
+            "Query evaluations performed by the compiled engine.",
             &[],
             move || stats.queries.load(Ordering::Relaxed),
         );
@@ -339,7 +321,7 @@ impl ParExec {
             let stats = Arc::clone(&self.stats);
             registry.counter_fn(
                 "vdx_par_chunks_total",
-                "Predicate-chunks processed by the chunked engine, by outcome.",
+                "Predicate-chunks processed by the compiled engine, by outcome.",
                 &[("outcome", outcome)],
                 move || {
                     let s = stats.snapshot();
@@ -402,488 +384,21 @@ impl ParExec {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Chunk masks
-// ---------------------------------------------------------------------------
-
-/// The evaluation result of one chunk: which of its rows match.
-///
-/// `Empty`/`Full` are the pruned forms; `Bits` is an explicit little-endian
-/// word bitmap over the chunk's rows with the padding bits beyond the chunk
-/// length held at zero.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Mask {
-    /// No row of the chunk matches.
-    Empty,
-    /// Every row of the chunk matches.
-    Full,
-    /// Explicit per-row bitmap (padding bits zero).
-    Bits(Vec<u64>),
-}
-
-fn words_for(len: usize) -> usize {
-    len.div_ceil(64)
-}
-
-#[cfg(test)]
-fn full_words(len: usize) -> Vec<u64> {
-    let mut words = vec![u64::MAX; words_for(len)];
-    mask_padding(&mut words, len);
-    words
-}
-
-/// Zero the bits at positions `>= len` of the final word.
-fn mask_padding(words: &mut [u64], len: usize) {
-    let tail = len % 64;
-    if tail != 0 {
-        if let Some(last) = words.last_mut() {
-            *last &= (1u64 << tail) - 1;
-        }
-    }
-}
-
-impl Mask {
-    /// Number of set rows given the chunk length.
-    pub fn count(&self, len: usize) -> usize {
-        match self {
-            Mask::Empty => 0,
-            Mask::Full => len,
-            Mask::Bits(words) => words.iter().map(|w| w.count_ones() as usize).sum(),
-        }
-    }
-
-    /// Collapse an explicit bitmap that turned out all-zero or all-one.
-    fn normalized(self, len: usize) -> Mask {
-        match &self {
-            Mask::Bits(_) => {
-                let ones = self.count(len);
-                if ones == 0 {
-                    Mask::Empty
-                } else if ones == len {
-                    Mask::Full
-                } else {
-                    self
-                }
-            }
-            _ => self,
-        }
-    }
-
-    /// Intersection of two chunk masks.
-    pub fn and(self, other: Mask, len: usize) -> Mask {
-        match (self, other) {
-            (Mask::Empty, _) | (_, Mask::Empty) => Mask::Empty,
-            (Mask::Full, m) | (m, Mask::Full) => m,
-            (Mask::Bits(mut a), Mask::Bits(b)) => {
-                for (x, y) in a.iter_mut().zip(b.iter()) {
-                    *x &= *y;
-                }
-                Mask::Bits(a).normalized(len)
-            }
-        }
-    }
-
-    /// Union of two chunk masks.
-    pub fn or(self, other: Mask, len: usize) -> Mask {
-        match (self, other) {
-            (Mask::Full, _) | (_, Mask::Full) => Mask::Full,
-            (Mask::Empty, m) | (m, Mask::Empty) => m,
-            (Mask::Bits(mut a), Mask::Bits(b)) => {
-                for (x, y) in a.iter_mut().zip(b.iter()) {
-                    *x |= *y;
-                }
-                Mask::Bits(a).normalized(len)
-            }
-        }
-    }
-
-    /// Complement over the chunk's rows.
-    pub fn not(self, len: usize) -> Mask {
-        match self {
-            Mask::Empty => Mask::Full,
-            Mask::Full => Mask::Empty,
-            Mask::Bits(mut words) => {
-                for w in words.iter_mut() {
-                    *w = !*w;
-                }
-                mask_padding(&mut words, len);
-                Mask::Bits(words)
-            }
-        }
-    }
-
-    /// Call `f` with every selected local row index, in increasing order.
-    pub fn for_each_row(&self, len: usize, mut f: impl FnMut(usize)) {
-        match self {
-            Mask::Empty => {}
-            Mask::Full => {
-                for i in 0..len {
-                    f(i);
-                }
-            }
-            Mask::Bits(words) => {
-                for (wi, &word) in words.iter().enumerate() {
-                    let mut w = word;
-                    while w != 0 {
-                        let bit = w.trailing_zeros() as usize;
-                        f(wi * 64 + bit);
-                        w &= w - 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The chunked evaluation result of a whole query: one [`Mask`] per chunk.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChunkMasks {
-    chunk_rows: usize,
-    num_rows: usize,
-    masks: Vec<Mask>,
-}
-
-impl ChunkMasks {
-    /// Rows per chunk.
-    pub fn chunk_rows(&self) -> usize {
-        self.chunk_rows
-    }
-
-    /// Total rows covered.
-    pub fn num_rows(&self) -> usize {
-        self.num_rows
-    }
-
-    /// Number of chunks.
-    pub fn num_chunks(&self) -> usize {
-        self.masks.len()
-    }
-
-    /// The mask of chunk `i`.
-    pub fn mask(&self, i: usize) -> &Mask {
-        &self.masks[i]
-    }
-
-    /// First row and length of chunk `i`.
-    pub fn chunk_span(&self, i: usize) -> (usize, usize) {
-        let start = i * self.chunk_rows;
-        (start, self.chunk_rows.min(self.num_rows - start))
-    }
-
-    /// Number of selected rows across all chunks.
-    pub fn count(&self) -> u64 {
-        (0..self.num_chunks())
-            .map(|i| self.masks[i].count(self.chunk_span(i).1) as u64)
-            .sum()
-    }
-
-    /// Merge the per-chunk masks, in chunk order, into one WAH-compressed
-    /// selection. The output depends only on the logical row set.
-    pub fn to_selection(&self) -> Selection {
-        let mut builder = WahBuilder::new();
-        for i in 0..self.num_chunks() {
-            let (_, len) = self.chunk_span(i);
-            match &self.masks[i] {
-                Mask::Empty => builder.push_run(false, len as u64),
-                Mask::Full => builder.push_run(true, len as u64),
-                Mask::Bits(_) => {
-                    let mut next = 0usize;
-                    self.masks[i].for_each_row(len, |row| {
-                        builder.push_run(false, (row - next) as u64);
-                        builder.push_bit(true);
-                        next = row + 1;
-                    });
-                    builder.push_run(false, (len - next) as u64);
-                }
-            }
-        }
-        Selection::from_wah(builder.finish())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chunked evaluation
-// ---------------------------------------------------------------------------
-
-/// Expand a [`Selection`] into a dense little-endian word bitmap, the form
-/// chunk workers can slice in O(words) per chunk. Bulk run expansion: cost
-/// is proportional to the dataset size, not to the number of selected rows.
-fn selection_words(selection: &Selection) -> Vec<u64> {
-    let mut words = vec![0u64; words_for(selection.num_rows())];
-    selection.as_wah().write_dense_words(&mut words);
-    words
-}
-
-/// Extract bits `[start, start + len)` of a dense word bitmap into a fresh
-/// chunk-local word vector (padding bits cleared).
-fn slice_bits(words: &[u64], start: usize, len: usize) -> Vec<u64> {
-    let mut out = vec![0u64; words_for(len)];
-    let base = start / 64;
-    let shift = start % 64;
-    for (j, slot) in out.iter_mut().enumerate() {
-        let lo = words.get(base + j).copied().unwrap_or(0);
-        *slot = if shift == 0 {
-            lo
-        } else {
-            let hi = words.get(base + j + 1).copied().unwrap_or(0);
-            (lo >> shift) | (hi << (64 - shift))
-        };
-    }
-    mask_padding(&mut out, len);
-    out
-}
-
-/// Evaluate `expr` chunk-by-chunk over `exec`'s pool and return the per-chunk
-/// masks. The expression is compiled to a bytecode [`Program`] first
-/// ([`Program::compile`]); callers that hold a cached program should use
-/// [`evaluate_chunk_masks_program`] directly.
-pub fn evaluate_chunk_masks(
-    expr: &QueryExpr,
-    provider: &(impl ColumnProvider + Sync),
-    exec: &ParExec,
-) -> Result<ChunkMasks> {
-    evaluate_chunk_masks_program(&Program::compile(expr), provider, exec)
-}
-
-/// Evaluate a compiled [`Program`] chunk-by-chunk over `exec`'s pool. Zone
-/// maps are taken from the provider when it has them at this chunk size (see
-/// [`ColumnProvider::zone_maps`]) and computed on the fly from each chunk's
-/// slice otherwise. With [`ParExec::with_index_acceleration`] enabled,
-/// predicate slots whose column has a bitmap index are answered once through
-/// the index (encoding recorded by the plan's cost model) and sliced per
-/// chunk. Chunk workers then interpret the program's linear op list over
-/// per-chunk mask registers instead of re-walking the expression tree.
-pub fn evaluate_chunk_masks_program(
-    program: &Program,
-    provider: &(impl ColumnProvider + Sync),
-    exec: &ParExec,
-) -> Result<ChunkMasks> {
-    let _eval = obs::span("evaluate");
-    let num_rows = provider.num_rows();
-    let chunk_rows = exec.chunk_rows();
-    // Resolve every referenced column once, up front: the error surface
-    // matches sequential evaluation (which reports the first unknown column)
-    // and chunk workers then operate on plain slices.
-    let mut columns: BTreeMap<String, &[f64]> = BTreeMap::new();
-    let mut zones: BTreeMap<String, Option<Arc<ZoneMaps>>> = BTreeMap::new();
-    for name in program.expr().columns() {
-        let data = provider
-            .column(&name)
-            .ok_or_else(|| FastBitError::UnknownColumn(name.clone()))?;
-        if data.len() != num_rows {
-            return Err(FastBitError::RowCountMismatch {
-                index_rows: num_rows,
-                data_rows: data.len(),
-            });
-        }
-        zones.insert(
-            name.clone(),
-            provider
-                .zone_maps(&name, chunk_rows)
-                .filter(|z| z.chunk_rows() == chunk_rows && z.num_rows() == num_rows),
-        );
-        columns.insert(name, data);
-    }
-    // Bind planner decisions, then answer each Index slot once, exactly (the
-    // candidate check runs against the raw column), before any chunk work.
-    // Textually identical predicates share one slot, hence one evaluation.
-    let sources = program.plan(
-        provider,
-        PlanMode::Chunked {
-            pruning: exec.pruning(),
-            index_accel: exec.index_accel,
-        },
-    )?;
-    let mut slot_answers: Vec<Option<Vec<u64>>> = Vec::with_capacity(sources.len());
-    for (pred, source) in program.slots().iter().zip(&sources) {
-        match *source {
-            PredSource::Index { encoding, .. } => {
-                let _slot = obs::span("slot");
-                obs::note("pred", || pred.to_string());
-                obs::note("source", || "index".to_string());
-                let index = provider.index(&pred.column).expect("planned index slot");
-                let data = columns.get(pred.column.as_str()).expect("resolved column");
-                let selection = index.evaluate_with(&pred.range, data, encoding)?;
-                crate::index::note_encoding_query(encoding);
-                slot_answers.push(Some(selection_words(&selection)));
-            }
-            PredSource::Scan { .. } => slot_answers.push(None),
-        }
-    }
-    let num_chunks = num_rows.div_ceil(chunk_rows);
-    exec.stats.queries.fetch_add(1, Ordering::Relaxed);
-    let tally = ChunkTally::default();
-    let masks = exec.run_chunks(num_chunks, |chunk| {
-        let start = chunk * chunk_rows;
-        let len = chunk_rows.min(num_rows - start);
-        let mut slot_masks = Vec::with_capacity(program.slots().len());
-        for (i, pred) in program.slots().iter().enumerate() {
-            slot_masks.push(eval_slot_chunk(
-                pred,
-                &sources[i],
-                slot_answers[i].as_deref(),
-                &columns,
-                &zones,
-                &tally,
-                chunk,
-                start,
-                len,
-            )?);
-        }
-        Ok(run_ops_masks(program, slot_masks, len))
-    })?;
-    // Flush this query's tallies into the lifetime counters and onto the
-    // active trace (the workers ran outside the tracing thread, so the
-    // counts attach here, on the coordinating thread).
-    let (pe, pf, sc, ix) = (
-        tally.pruned_empty.load(Ordering::Relaxed),
-        tally.pruned_full.load(Ordering::Relaxed),
-        tally.scanned.load(Ordering::Relaxed),
-        tally.indexed.load(Ordering::Relaxed),
-    );
-    exec.stats
-        .chunks_pruned_empty
-        .fetch_add(pe, Ordering::Relaxed);
-    exec.stats
-        .chunks_pruned_full
-        .fetch_add(pf, Ordering::Relaxed);
-    exec.stats.chunks_scanned.fetch_add(sc, Ordering::Relaxed);
-    exec.stats.chunks_indexed.fetch_add(ix, Ordering::Relaxed);
-    obs::count("chunks", num_chunks as u64);
-    obs::count("pruned_empty", pe);
-    obs::count("pruned_full", pf);
-    obs::count("scanned", sc);
-    obs::count("indexed", ix);
-    Ok(ChunkMasks {
-        chunk_rows,
-        num_rows,
-        masks,
-    })
-}
-
-/// Evaluate `expr` chunk-by-chunk and merge the result into one
-/// [`Selection`]. The selected row set is identical to sequential evaluation
-/// ([`crate::query::evaluate_with_strategy`]) for every thread count, chunk
-/// size, and pruning setting.
-pub fn evaluate_chunked(
-    expr: &QueryExpr,
-    provider: &(impl ColumnProvider + Sync),
-    exec: &ParExec,
-) -> Result<Selection> {
-    Ok(evaluate_chunk_masks(expr, provider, exec)?.to_selection())
-}
-
-/// Evaluate one predicate slot over one chunk: slice the precomputed index
-/// answer, prune through the zone map, or scan the chunk's rows.
-#[allow(clippy::too_many_arguments)] // internal chunk-worker plumbing
-fn eval_slot_chunk(
-    pred: &Predicate,
-    source: &PredSource,
-    answer: Option<&[u64]>,
-    columns: &BTreeMap<String, &[f64]>,
-    zones: &BTreeMap<String, Option<Arc<ZoneMaps>>>,
-    tally: &ChunkTally,
-    chunk: usize,
-    start: usize,
-    len: usize,
-) -> Result<Mask> {
-    if let Some(words) = answer {
-        tally.indexed.fetch_add(1, Ordering::Relaxed);
-        return Ok(Mask::Bits(slice_bits(words, start, len)).normalized(len));
-    }
-    let data = columns
-        .get(pred.column.as_str())
-        .ok_or_else(|| FastBitError::UnknownColumn(pred.column.clone()))?;
-    let slice = &data[start..start + len];
-    if matches!(source, PredSource::Scan { pruned: true }) {
-        let zone = match zones.get(pred.column.as_str()) {
-            Some(Some(maps)) => *maps.zone(chunk),
-            _ => Zone::from_slice(slice),
-        };
-        match zone.classify(&pred.range) {
-            ZoneVerdict::Empty => {
-                tally.pruned_empty.fetch_add(1, Ordering::Relaxed);
-                return Ok(Mask::Empty);
-            }
-            ZoneVerdict::Full => {
-                tally.pruned_full.fetch_add(1, Ordering::Relaxed);
-                return Ok(Mask::Full);
-            }
-            ZoneVerdict::Scan => {}
-        }
-    }
-    tally.scanned.fetch_add(1, Ordering::Relaxed);
-    let mut words = vec![0u64; words_for(len)];
-    for (i, &v) in slice.iter().enumerate() {
-        if pred.range.contains(v) {
-            words[i / 64] |= 1u64 << (i % 64);
-        }
-    }
-    Ok(Mask::Bits(words).normalized(len))
-}
-
-/// Interpret the program's linear op list over this chunk's slot masks. The
-/// masks normalize after every op, so the result is a pure function of the
-/// chunk's logical row set — byte-identical to what the old per-chunk tree
-/// walk produced.
-fn run_ops_masks(program: &Program, slot_masks: Vec<Mask>, len: usize) -> Mask {
-    match program.root() {
-        Root::Pred(s) => {
-            return slot_masks
-                .into_iter()
-                .nth(s as usize)
-                .expect("slot in range")
-        }
-        Root::Const(true) => return Mask::Full,
-        Root::Const(false) => return Mask::Empty,
-        Root::Ops { .. } => {}
-    }
-    let mut regs: Vec<Mask> = vec![Mask::Empty; program.num_regs()];
-    let take = |regs: &mut Vec<Mask>, i: u16| std::mem::replace(&mut regs[i as usize], Mask::Empty);
-    for op in program.ops() {
-        match *op {
-            OpCode::Load { dst, slot } => regs[dst as usize] = slot_masks[slot as usize].clone(),
-            OpCode::LoadConst { dst, ones } => {
-                regs[dst as usize] = if ones { Mask::Full } else { Mask::Empty }
-            }
-            OpCode::AndReg { dst, src } => {
-                let (b, a) = (take(&mut regs, src), take(&mut regs, dst));
-                regs[dst as usize] = a.and(b, len);
-            }
-            OpCode::AndSlot { dst, slot } => {
-                let a = take(&mut regs, dst);
-                regs[dst as usize] = a.and(slot_masks[slot as usize].clone(), len);
-            }
-            OpCode::OrReg { dst, src } => {
-                let (b, a) = (take(&mut regs, src), take(&mut regs, dst));
-                regs[dst as usize] = a.or(b, len);
-            }
-            OpCode::OrSlot { dst, slot } => {
-                let a = take(&mut regs, dst);
-                regs[dst as usize] = a.or(slot_masks[slot as usize].clone(), len);
-            }
-            OpCode::Not { dst } => {
-                let a = take(&mut regs, dst);
-                regs[dst as usize] = a.not(len);
-            }
-        }
-    }
-    let Root::Ops { result } = program.root() else {
-        unreachable!("leaf roots returned above")
-    };
-    take(&mut regs, result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{evaluate_with_strategy, ExecStrategy, Predicate};
+    use crate::compile::evaluate_with;
+    use crate::query::{
+        evaluate_with_strategy, ColumnProvider, ExecStrategy, Predicate, QueryExpr,
+    };
     use crate::scan;
+    use crate::selection::Selection;
     use std::collections::HashMap;
 
     struct MemProvider {
         columns: HashMap<String, Vec<f64>>,
         rows: usize,
+        zones: bool,
     }
 
     impl MemProvider {
@@ -895,7 +410,13 @@ mod tests {
                     .map(|(n, d)| (n.to_string(), d))
                     .collect(),
                 rows,
+                zones: true,
             }
+        }
+
+        fn without_zones(mut self) -> Self {
+            self.zones = false;
+            self
         }
     }
 
@@ -909,10 +430,19 @@ mod tests {
         fn index(&self, _name: &str) -> Option<&crate::index::BitmapIndex> {
             None
         }
+        fn zone_maps(&self, name: &str, chunk_rows: usize) -> Option<Arc<ZoneMaps>> {
+            let data = self.column(name).filter(|_| self.zones)?;
+            Some(Arc::new(ZoneMaps::build(data, chunk_rows)))
+        }
     }
 
     fn ramp(n: usize) -> MemProvider {
         MemProvider::new(vec![("x", (0..n).map(|i| i as f64).collect::<Vec<f64>>())])
+    }
+
+    /// The compiled engine on `exec`, scanning every predicate.
+    fn chunked(expr: &QueryExpr, p: &impl ColumnProvider, exec: &ParExec) -> Result<Selection> {
+        evaluate_with(expr, p, ExecStrategy::ScanOnly, exec)
     }
 
     #[test]
@@ -942,25 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_algebra_normalizes_and_iterates() {
-        let len = 70;
-        let a = Mask::Bits(full_words(len));
-        assert_eq!(a.clone().normalized(len), Mask::Full);
-        assert_eq!(Mask::Full.and(Mask::Empty, len), Mask::Empty);
-        assert_eq!(Mask::Empty.or(Mask::Full, len), Mask::Full);
-        assert_eq!(Mask::Full.not(len), Mask::Empty);
-        let mut words = vec![0u64; 2];
-        words[0] |= 1 << 3;
-        words[1] |= 1 << 5; // row 69
-        let m = Mask::Bits(words);
-        let mut rows = Vec::new();
-        m.for_each_row(len, |r| rows.push(r));
-        assert_eq!(rows, vec![3, 69]);
-        let inv = m.not(len);
-        assert_eq!(inv.count(len), 68);
-    }
-
-    #[test]
     fn chunked_matches_scan_on_simple_ramp() {
         let p = ramp(1000);
         let expr = QueryExpr::Pred(Predicate::new("x", ValueRange::between(100.0, 900.0)));
@@ -968,7 +479,7 @@ mod tests {
         for chunk_rows in [1usize, 31, 64, 1000, 5000] {
             for threads in [1usize, 2, 8] {
                 let exec = ParExec::new(threads, chunk_rows);
-                let got = evaluate_chunked(&expr, &p, &exec).unwrap();
+                let got = chunked(&expr, &p, &exec).unwrap();
                 assert_eq!(got.to_rows(), oracle.to_rows(), "{chunk_rows}/{threads}");
             }
         }
@@ -982,13 +493,14 @@ mod tests {
             ValueRange::ge(7500.0),
         )
         .not());
-        let reference = evaluate_chunked(&expr, &p, &ParExec::new(1, 512)).unwrap();
-        for exec in [
-            ParExec::new(4, 512),
-            ParExec::new(8, 512),
-            ParExec::new(4, 512).without_pruning(),
+        let unzoned = ramp(10_000).without_zones();
+        let reference = chunked(&expr, &p, &ParExec::new(1, 512)).unwrap();
+        for (provider, exec) in [
+            (&p, ParExec::new(4, 512)),
+            (&p, ParExec::new(8, 512)),
+            (&unzoned, ParExec::new(4, 512)),
         ] {
-            let got = evaluate_chunked(&expr, &p, &exec).unwrap();
+            let got = chunked(&expr, provider, &exec).unwrap();
             // Same chunk size ⇒ the WAH words are bit-for-bit identical.
             assert_eq!(got, reference);
         }
@@ -999,9 +511,9 @@ mod tests {
         let p = ramp(10_000);
         let exec = ParExec::new(2, 100);
         // Matches everything: every chunk is a full-prune.
-        evaluate_chunked(&QueryExpr::pred("x", ValueRange::ge(0.0)), &p, &exec).unwrap();
+        chunked(&QueryExpr::pred("x", ValueRange::ge(0.0)), &p, &exec).unwrap();
         // Matches nothing: every chunk is an empty-prune.
-        evaluate_chunked(&QueryExpr::pred("x", ValueRange::gt(1e12)), &p, &exec).unwrap();
+        chunked(&QueryExpr::pred("x", ValueRange::gt(1e12)), &p, &exec).unwrap();
         let s = exec.stats();
         assert_eq!(s.queries, 2);
         assert_eq!(s.chunks_pruned_full, 100);
@@ -1016,7 +528,7 @@ mod tests {
         let expr = QueryExpr::pred("x", ValueRange::gt(1e12))
             .and(QueryExpr::pred("nope", ValueRange::gt(0.0)));
         assert!(matches!(
-            evaluate_chunked(&expr, &p, &exec),
+            chunked(&expr, &p, &exec),
             Err(FastBitError::UnknownColumn(_))
         ));
     }
@@ -1025,31 +537,9 @@ mod tests {
     fn empty_dataset_yields_empty_selection() {
         let p = MemProvider::new(vec![("x", Vec::new())]);
         let expr = QueryExpr::pred("x", ValueRange::gt(0.0));
-        let got = evaluate_chunked(&expr, &p, &ParExec::new(4, 16)).unwrap();
+        let got = chunked(&expr, &p, &ParExec::new(4, 16)).unwrap();
         assert_eq!(got.num_rows(), 0);
         assert!(got.is_none_selected());
-    }
-
-    #[test]
-    fn slice_bits_extracts_arbitrary_ranges() {
-        // A recognizable pattern: bits 0, 64, 65, 100, 127, 130 over 131 bits.
-        let mut words = vec![0u64; 3];
-        for bit in [0usize, 64, 65, 100, 127, 130] {
-            words[bit / 64] |= 1 << (bit % 64);
-        }
-        for (start, len) in [(0, 131), (1, 130), (63, 5), (64, 64), (100, 31), (130, 1)] {
-            let sliced = slice_bits(&words, start, len);
-            for i in 0..len {
-                let bit = start + i;
-                let expected = [0usize, 64, 65, 100, 127, 130].contains(&bit);
-                let got = sliced[i / 64] >> (i % 64) & 1 == 1;
-                assert_eq!(got, expected, "start {start} len {len} bit {bit}");
-            }
-            // Padding bits beyond len are clear.
-            if len % 64 != 0 {
-                assert_eq!(sliced[len / 64] & !((1u64 << (len % 64)) - 1), 0);
-            }
-        }
     }
 
     #[test]
@@ -1071,6 +561,9 @@ mod tests {
             fn index(&self, name: &str) -> Option<&BitmapIndex> {
                 self.indexes.get(name)
             }
+            fn zone_maps(&self, name: &str, chunk_rows: usize) -> Option<Arc<ZoneMaps>> {
+                self.inner.zone_maps(name, chunk_rows)
+            }
         }
 
         let mut x: Vec<f64> = (0..3000).map(|i| ((i * 37) % 500) as f64).collect();
@@ -1087,10 +580,10 @@ mod tests {
         let expr = QueryExpr::pred("x", ValueRange::between(30.0, 470.0))
             .and(QueryExpr::pred("x", ValueRange::le(400.0)).not());
         let plain = ParExec::new(2, 97);
-        let reference = evaluate_chunked(&expr, &p, &plain).unwrap();
+        let reference = chunked(&expr, &p, &plain).unwrap();
         for threads in [1usize, 4] {
-            let accel = ParExec::new(threads, 97).with_index_acceleration(true);
-            let got = evaluate_chunked(&expr, &p, &accel).unwrap();
+            let accel = ParExec::new(threads, 97);
+            let got = evaluate_with(&expr, &p, ExecStrategy::Auto, &accel).unwrap();
             // Identical WAH selection words, not merely the same rows.
             assert_eq!(got.as_wah(), reference.as_wah(), "threads {threads}");
             let stats = accel.stats();
@@ -1113,7 +606,7 @@ mod tests {
             QueryExpr::pred("x", ValueRange::all()),
         ] {
             let oracle = evaluate_with_strategy(&expr, &p, ExecStrategy::ScanOnly).unwrap();
-            let got = evaluate_chunked(&expr, &p, &ParExec::new(3, 37)).unwrap();
+            let got = chunked(&expr, &p, &ParExec::new(3, 37)).unwrap();
             assert_eq!(got.to_rows(), oracle.to_rows(), "{expr}");
         }
     }

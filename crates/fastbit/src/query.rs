@@ -405,9 +405,9 @@ pub trait ColumnProvider {
     /// Bitmap index of a column, when one has been built.
     fn index(&self, name: &str) -> Option<&BitmapIndex>;
     /// Per-chunk zone maps of a column at the given chunk size, when the
-    /// provider keeps them (see [`crate::par::ZoneMaps`]). The chunked
-    /// evaluator falls back to computing zones on the fly when this returns
-    /// `None`, so implementing it is purely an optimization.
+    /// provider keeps them (see [`crate::par::ZoneMaps`]). Scans skip the
+    /// chunks these prove empty or full; without them every chunk is
+    /// scanned, so implementing this is purely an optimization.
     fn zone_maps(
         &self,
         _name: &str,
@@ -428,7 +428,10 @@ pub enum ExecStrategy {
     ScanOnly,
 }
 
-/// Evaluate `expr` over `provider` with the given strategy.
+/// Evaluate `expr` over `provider` with the given strategy by walking the
+/// expression tree. This is the reference oracle the compiled engine
+/// ([`crate::compile::execute_with`]) is pinned against; production code
+/// evaluates through the compiled engine.
 pub fn evaluate_with_strategy(
     expr: &QueryExpr,
     provider: &impl ColumnProvider,
@@ -462,12 +465,13 @@ pub fn evaluate_with_strategy(
     }
 }
 
-/// Evaluate `expr` over `provider`, preferring indexes when they exist.
+/// [`evaluate_with_strategy`] under [`ExecStrategy::Auto`]: the tree-walk
+/// oracle, preferring indexes when they exist.
 pub fn evaluate(expr: &QueryExpr, provider: &impl ColumnProvider) -> Result<Selection> {
     evaluate_with_strategy(expr, provider, ExecStrategy::Auto)
 }
 
-pub(crate) fn evaluate_predicate(
+fn evaluate_predicate(
     pred: &Predicate,
     provider: &impl ColumnProvider,
     strategy: ExecStrategy,

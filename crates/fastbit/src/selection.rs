@@ -120,6 +120,15 @@ impl Selection {
         Ok(())
     }
 
+    /// Expand into a dense little-endian word bitmap, one bit per row
+    /// (padding bits past the last row zero). Cost is proportional to the
+    /// row count, not to the number of selected rows.
+    pub fn to_dense_words(&self) -> Vec<u64> {
+        let mut words = vec![0u64; self.num_rows().div_ceil(64)];
+        self.bits.write_dense_words(&mut words);
+        words
+    }
+
     /// Gather the values of `column` at the selected rows.
     pub fn gather(&self, column: &[f64]) -> Vec<f64> {
         self.iter_rows().map(|r| column[r]).collect()

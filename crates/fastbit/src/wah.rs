@@ -171,6 +171,19 @@ impl WordSink for WordCheck<'_> {
 
 /// Append `groups` fill groups of `bit`, coalescing with a trailing fill of
 /// the same value and splitting counts at [`FILL_COUNT_MASK`].
+/// The 31-bit group of dense bits `[start, start + 31)`, clipped at `nbits`.
+fn dense_group(words: &[u64], start: u64, nbits: u64) -> u32 {
+    let (w, shift) = (start as usize / 64, start % 64);
+    let mut bits = words[w] >> shift;
+    if shift > 64 - GROUP_BITS {
+        if let Some(&next) = words.get(w + 1) {
+            bits |= next << (64 - shift);
+        }
+    }
+    let valid = (nbits - start).min(GROUP_BITS);
+    (bits & ((1u64 << valid) - 1)) as u32
+}
+
 fn append_fill(sink: &mut impl WordSink, bit: bool, mut groups: u64) {
     let value_flag = if bit { FILL_ONE_FLAG } else { 0 };
     while groups > 0 {
@@ -579,18 +592,7 @@ impl Wah {
             "{} dense words cannot hold {nbits} bits",
             words.len()
         );
-        // The 31-bit group of bits `[start, start + 31)`, clipped at nbits.
-        let group_at = |start: u64| -> u32 {
-            let (w, shift) = (start as usize / 64, start % 64);
-            let mut bits = words[w] >> shift;
-            if shift > 64 - GROUP_BITS {
-                if let Some(&next) = words.get(w + 1) {
-                    bits |= next << (64 - shift);
-                }
-            }
-            let valid = (nbits - start).min(GROUP_BITS);
-            (bits & ((1u64 << valid) - 1)) as u32
-        };
+        let group_at = |start: u64| dense_group(words, start, nbits);
         // How many bits from `start` on equal `bit`, clipped at nbits.
         let run_len = |start: u64, bit: bool| -> u64 {
             let flip = if bit { !0u64 } else { 0 };
@@ -626,6 +628,23 @@ impl Wah {
             }
         }
         Wah { words: out, nbits }
+    }
+
+    /// [`Wah::from_dense_words`] in the form a [`WahBuilder`] produces from
+    /// the same bits pushed one at a time: a trailing partial group is kept
+    /// as a literal word even when it is all zero, instead of extending a
+    /// zero fill.
+    ///
+    /// # Panics
+    /// Panics when `words` holds fewer than `nbits.div_ceil(64)` words.
+    pub fn from_dense_words_as_built(words: &[u64], nbits: u64) -> Wah {
+        let whole = nbits - nbits % GROUP_BITS;
+        let mut wah = Wah::from_dense_words(words, whole);
+        if whole < nbits {
+            wah.words.push(dense_group(words, whole, nbits));
+            wah.nbits = nbits;
+        }
+        wah
     }
 
     /// The raw compressed words, for serialization.

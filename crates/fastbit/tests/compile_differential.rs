@@ -5,8 +5,8 @@
 //! * the same row set as the row-by-row scan oracle,
 //! * **bit-identical** WAH selection words to the tree-walk evaluator of
 //!   the normalized expression (the form the program is compiled from),
-//! * byte-identical chunked masks/selections across chunk sizes
-//!   {1, 31, n} × thread counts {1, 8}, and
+//! * byte-identical selections across chunk sizes {1, 31, n} × thread
+//!   counts {1, 8}, and
 //! * identical conditional histogram counts.
 //!
 //! This is the pin behind the determinism invariant in ARCHITECTURE.md:
@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use fastbit::compile::{self, Program};
-use fastbit::par::{evaluate_chunk_masks_program, evaluate_chunked, ParExec};
+use fastbit::par::ParExec;
 use fastbit::{
     evaluate_with_strategy, scan, BinSpec, BitmapIndex, ColumnProvider, ExecStrategy, HistEngine,
     HistogramEngine, Predicate, QueryExpr, ValueRange,
@@ -169,19 +169,27 @@ fn compiled_matches_scan_oracle_and_tree_walk_bit_for_bit() {
 #[test]
 fn compiled_chunked_masks_are_byte_identical_across_configurations() {
     let n = 2500;
-    for (seed, index_accel) in [(0xA11CE_u64, false), (0xB0B, true)] {
-        let p = provider(n, seed, index_accel);
+    for (seed, indexed) in [(0xA11CE_u64, false), (0xB0B, true)] {
+        let p = provider(n, seed, indexed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1234);
         for round in 0..15 {
             let expr = random_expr(&mut rng, &p, 3);
             let program = Program::compile(&expr);
             let oracle = scan::scan_query(&expr, &p).unwrap();
+            let strategy = if indexed {
+                ExecStrategy::Auto
+            } else {
+                ExecStrategy::ScanOnly
+            };
+            let reference = compile::execute(&program, &p, strategy).unwrap();
             for chunk_rows in [1usize, 31, n] {
                 for threads in [1usize, 8] {
-                    let exec =
-                        ParExec::new(threads, chunk_rows).with_index_acceleration(index_accel);
-                    let masks = evaluate_chunk_masks_program(&program, &p, &exec).unwrap();
-                    let selection = masks.to_selection();
+                    let exec = ParExec::new(threads, chunk_rows);
+                    let selection = compile::execute_with(&program, &p, strategy, &exec).unwrap();
+                    assert_eq!(
+                        selection, reference,
+                        "round {round}, chunk_rows {chunk_rows}, threads {threads}: {expr}"
+                    );
                     assert_eq!(
                         selection.to_rows(),
                         oracle.to_rows(),
@@ -189,7 +197,7 @@ fn compiled_chunked_masks_are_byte_identical_across_configurations() {
                     );
                     // The expression front-door produces the same bytes: it
                     // is the same compiled path.
-                    let front = evaluate_chunked(&expr, &p, &exec).unwrap();
+                    let front = compile::evaluate_with(&expr, &p, strategy, &exec).unwrap();
                     assert_eq!(
                         selection, front,
                         "round {round}, chunk_rows {chunk_rows}, threads {threads}: {expr}"
@@ -221,7 +229,12 @@ fn compiled_conditional_histograms_match_bin_for_bin() {
         }
         for threads in [1usize, 8] {
             let exec = ParExec::new(threads, 31);
-            let par = engine.hist1d_par(column, &spec, Some(&expr), HistEngine::FastBit, &exec);
+            let par = HistogramEngine::with_exec(&p, exec).hist1d(
+                column,
+                &spec,
+                Some(&expr),
+                HistEngine::FastBit,
+            );
             match (&oracle, &par) {
                 (Ok(o), Ok(p)) => assert_eq!(p, o, "round {round}, {column}, par: {expr}"),
                 (Err(_), Err(_)) => {}

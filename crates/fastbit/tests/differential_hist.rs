@@ -1,4 +1,4 @@
-//! Differential tests: index-accelerated histograms versus brute-force
+//! Differential tests: indexed histograms versus brute-force
 //! recomputation from the raw columns.
 //!
 //! Unconditional and conditional `hist1d`/`hist2d` counts from the FastBit

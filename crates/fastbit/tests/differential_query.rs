@@ -1,4 +1,4 @@
-//! Differential tests: index-accelerated query evaluation versus the
+//! Differential tests: indexed query evaluation versus the
 //! sequential-scan baseline (the paper's "Custom" engine).
 //!
 //! For randomized compound range queries the row set produced through the

@@ -395,6 +395,21 @@ fn from_dense_words_emits_the_canonical_or_form() {
 }
 
 #[test]
+fn from_dense_words_as_built_matches_the_builder() {
+    let mut rng = StdRng::seed_from_u64(0xB11D);
+    for &len in &DENSE_LENGTHS {
+        for (name, bits) in dense_patterns(len, &mut rng) {
+            let built = Wah::from_bools(&bits);
+            for extra in [0, 1] {
+                let dense = dense_with_garbage(&bits, extra, &mut rng);
+                let got = Wah::from_dense_words_as_built(&dense, len);
+                assert_eq!(got, built, "{name} at {len} bits, {extra} extra words");
+            }
+        }
+    }
+}
+
+#[test]
 fn write_dense_words_ors_the_bitwise_expansion() {
     let mut rng = StdRng::seed_from_u64(0x0D5E);
     for &len in &DENSE_LENGTHS {

@@ -1,9 +1,10 @@
 //! The NaN/±∞ bugfix sweep: every evaluation path — sequential tree-walk
-//! (scan, auto, index-only), the compiled bytecode kernels, and the chunked
-//! engine with and without index acceleration — is checked against an
-//! independent row-by-row IEEE oracle on columns that are *mostly* special
-//! values, with range bounds drawn from the index's own bin edges, the data
-//! itself and ±∞, under all four bound-inclusivity combinations.
+//! (scan, auto, index-only) and the compiled engine, on one thread and
+//! chunked across threads, scanning and through the indexes — is checked
+//! against an independent row-by-row IEEE oracle on columns that are
+//! *mostly* special values, with range bounds drawn from the index's own bin
+//! edges, the data itself and ±∞, under all four bound-inclusivity
+//! combinations.
 //!
 //! The oracle restates the query semantics from scratch (NaN never matches;
 //! ±∞ compare like ordinary values) rather than calling
@@ -13,7 +14,7 @@
 use std::collections::HashMap;
 
 use fastbit::compile;
-use fastbit::par::{evaluate_chunked, ParExec};
+use fastbit::par::ParExec;
 use fastbit::{
     evaluate_with_strategy, scan, BitmapIndex, ColumnProvider, ExecStrategy, Predicate, QueryExpr,
     ValueRange,
@@ -264,12 +265,19 @@ fn check_all_paths(expr: &QueryExpr, p: &MemProvider, tag: &str) {
     }
     for chunk_rows in [31usize, 4096] {
         for threads in [1usize, 8] {
-            for index_accel in [false, true] {
-                let exec = ParExec::new(threads, chunk_rows).with_index_acceleration(index_accel);
-                let rows = evaluate_chunked(expr, p, &exec).unwrap().to_rows();
+            for indexed in [false, true] {
+                let exec = ParExec::new(threads, chunk_rows);
+                let strategy = if indexed {
+                    ExecStrategy::Auto
+                } else {
+                    ExecStrategy::ScanOnly
+                };
+                let rows = compile::evaluate_with(expr, p, strategy, &exec)
+                    .unwrap()
+                    .to_rows();
                 assert_eq!(
                     rows, expected,
-                    "{tag}: chunked {chunk_rows}/{threads}/accel={index_accel} diverged on {expr}"
+                    "{tag}: chunked {chunk_rows}/{threads}/indexed={indexed} diverged on {expr}"
                 );
             }
         }

@@ -1,17 +1,19 @@
-//! Differential property suite for the chunked parallel engine.
+//! Differential property suite for the compiled engine split into chunks.
 //!
 //! Seeded randomized compound queries are evaluated over columns containing
 //! NaN and ±∞, across chunk sizes {1, 31, 1000, n} × thread counts
-//! {1, 2, 8}, and the parallel selections and histograms must be identical
+//! {1, 2, 8}, and the chunked selections and histograms must be identical
 //! to the sequential oracle every time — the pin that makes "parallel" mean
 //! "faster", never "different".
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use fastbit::par::{evaluate_chunked, ParExec};
+use fastbit::compile::evaluate_with;
+use fastbit::par::{ParExec, ZoneMaps};
 use fastbit::{
     evaluate_with_strategy, BinSpec, BitmapIndex, ColumnProvider, ExecStrategy, HistEngine,
-    HistogramEngine, Predicate, QueryExpr, ValueRange,
+    HistogramEngine, Predicate, QueryExpr, Result, Selection, ValueRange,
 };
 use histogram::Binning;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -32,6 +34,29 @@ impl ColumnProvider for MemProvider {
     fn index(&self, name: &str) -> Option<&BitmapIndex> {
         self.indexes.get(name)
     }
+    fn zone_maps(&self, name: &str, chunk_rows: usize) -> Option<Arc<ZoneMaps>> {
+        Some(Arc::new(ZoneMaps::build(self.column(name)?, chunk_rows)))
+    }
+}
+
+/// The same columns without zone maps: every chunk is scanned.
+struct NoZones<'a>(&'a MemProvider);
+
+impl ColumnProvider for NoZones<'_> {
+    fn num_rows(&self) -> usize {
+        self.0.num_rows()
+    }
+    fn column(&self, name: &str) -> Option<&[f64]> {
+        self.0.column(name)
+    }
+    fn index(&self, name: &str) -> Option<&BitmapIndex> {
+        self.0.index(name)
+    }
+}
+
+/// The compiled engine on `exec`, scanning every predicate.
+fn chunked(expr: &QueryExpr, p: &impl ColumnProvider, exec: &ParExec) -> Result<Selection> {
+    evaluate_with(expr, p, ExecStrategy::ScanOnly, exec)
 }
 
 const COLUMNS: [&str; 4] = ["a", "b", "c", "d"];
@@ -145,7 +170,7 @@ fn randomized_queries_match_the_sequential_oracle() {
         for chunk_rows in [1usize, 31, 1000, n] {
             for threads in [1usize, 2, 8] {
                 let exec = ParExec::new(threads, chunk_rows);
-                let got = evaluate_chunked(&expr, &p, &exec).unwrap();
+                let got = chunked(&expr, &p, &exec).unwrap();
                 assert_eq!(
                     got.to_rows(),
                     oracle.to_rows(),
@@ -159,15 +184,15 @@ fn randomized_queries_match_the_sequential_oracle() {
 
 #[test]
 fn randomized_queries_match_the_indexed_oracle_too() {
-    // The chunked engine never touches the bitmap indexes; the indexed Auto
-    // path must still agree row-for-row (index evaluation is exact).
+    // A scan-only evaluation never touches the bitmap indexes; the indexed
+    // Auto path must still agree row-for-row (index evaluation is exact).
     let n = 2000;
     let p = provider(n, 0xBEEF, true);
     let mut rng = StdRng::seed_from_u64(7);
     for _ in 0..15 {
         let expr = random_expr(&mut rng, &p, 2);
         let indexed = evaluate_with_strategy(&expr, &p, ExecStrategy::Auto).unwrap();
-        let chunked = evaluate_chunked(&expr, &p, &ParExec::new(2, 113)).unwrap();
+        let chunked = chunked(&expr, &p, &ParExec::new(2, 113)).unwrap();
         assert_eq!(chunked.to_rows(), indexed.to_rows(), "{expr}");
     }
 }
@@ -175,20 +200,20 @@ fn randomized_queries_match_the_indexed_oracle_too() {
 #[test]
 fn chunked_result_is_invariant_across_configurations() {
     // For one chunk size, the WAH words themselves must be bit-identical for
-    // every thread count and pruning setting (merge order is deterministic).
+    // every thread count, with and without zone maps.
     let n = 4096;
     let p = provider(n, 99, false);
     let mut rng = StdRng::seed_from_u64(5);
     for _ in 0..10 {
         let expr = random_expr(&mut rng, &p, 3);
-        let reference = evaluate_chunked(&expr, &p, &ParExec::new(1, 100)).unwrap();
-        for exec in [
-            ParExec::new(2, 100),
-            ParExec::new(8, 100),
-            ParExec::new(8, 100).without_pruning(),
-        ] {
-            assert_eq!(evaluate_chunked(&expr, &p, &exec).unwrap(), reference);
+        let reference = chunked(&expr, &p, &ParExec::new(1, 100)).unwrap();
+        for exec in [ParExec::new(2, 100), ParExec::new(8, 100)] {
+            assert_eq!(chunked(&expr, &p, &exec).unwrap(), reference);
         }
+        assert_eq!(
+            chunked(&expr, &NoZones(&p), &ParExec::new(8, 100)).unwrap(),
+            reference
+        );
     }
 }
 
@@ -199,7 +224,7 @@ fn empty_selections_are_preserved() {
     let miss = QueryExpr::pred("a", ValueRange::gt(1e9));
     for chunk_rows in [1usize, 31, 1000, n] {
         for threads in [1usize, 2, 8] {
-            let got = evaluate_chunked(&miss, &p, &ParExec::new(threads, chunk_rows)).unwrap();
+            let got = chunked(&miss, &p, &ParExec::new(threads, chunk_rows)).unwrap();
             assert!(got.is_none_selected());
             assert_eq!(got.num_rows(), n);
         }
@@ -210,7 +235,7 @@ fn empty_selections_are_preserved() {
         indexes: HashMap::new(),
         rows: 500,
     };
-    let got = evaluate_chunked(
+    let got = chunked(
         &QueryExpr::pred("a", ValueRange::all()),
         &all_nan,
         &ParExec::new(4, 64),
@@ -234,7 +259,12 @@ fn randomized_conditional_histograms_match_bin_for_bin() {
             for chunk_rows in [1usize, 31, 1000, n] {
                 for threads in [1usize, 2, 8] {
                     let exec = ParExec::new(threads, chunk_rows);
-                    let par = engine.hist1d_par(column, &spec, Some(&expr), eng, &exec);
+                    let par = HistogramEngine::with_exec(&p, exec).hist1d(
+                        column,
+                        &spec,
+                        Some(&expr),
+                        eng,
+                    );
                     match (&seq, &par) {
                         (Ok(s), Ok(p)) => assert_eq!(
                             p, s,
@@ -264,14 +294,8 @@ fn nan_heavy_histograms_match_including_out_of_range() {
             .hist1d("c", &spec, condition.as_ref(), HistEngine::Custom)
             .unwrap();
         for threads in [1usize, 2, 8] {
-            let par = engine
-                .hist1d_par(
-                    "c",
-                    &spec,
-                    condition.as_ref(),
-                    HistEngine::Custom,
-                    &ParExec::new(threads, 37),
-                )
+            let par = HistogramEngine::with_exec(&p, ParExec::new(threads, 37))
+                .hist1d("c", &spec, condition.as_ref(), HistEngine::Custom)
                 .unwrap();
             assert_eq!(par, seq);
             assert_eq!(par.out_of_range(), seq.out_of_range());
@@ -279,7 +303,7 @@ fn nan_heavy_histograms_match_including_out_of_range() {
     }
 }
 
-/// The acceptance-criterion speedup probe: with 4 workers the chunked
+/// The acceptance-criterion speedup probe: with 4 workers the compiled
 /// engine must beat its own single-thread time by ≥ 2× on select and
 /// conditional hist1d — asserted only where the hardware can express it
 /// (≥ 4 cores); on smaller machines the byte-identity half still runs and
@@ -291,21 +315,22 @@ fn four_thread_speedup_when_cores_available() {
         .unwrap_or(1);
     let n = 600_000;
     let p = provider(n, 0xFEED, false);
-    let engine = HistogramEngine::new(&p);
     let expr = QueryExpr::pred("a", ValueRange::gt(0.0))
         .and(QueryExpr::pred("c", ValueRange::between(-0.5, 0.5)));
     let spec = BinSpec::Uniform(1024);
 
     let seq_exec = ParExec::new(1, 4096);
     let par_exec = ParExec::new(4, 4096);
-    let sel_seq = evaluate_chunked(&expr, &p, &seq_exec).unwrap();
-    let sel_par = evaluate_chunked(&expr, &p, &par_exec).unwrap();
+    let seq_engine = HistogramEngine::with_exec(&p, seq_exec.clone());
+    let par_engine = HistogramEngine::with_exec(&p, par_exec.clone());
+    let sel_seq = chunked(&expr, &p, &seq_exec).unwrap();
+    let sel_par = chunked(&expr, &p, &par_exec).unwrap();
     assert_eq!(sel_par, sel_seq, "byte-identical selections");
-    let h_seq = engine
-        .hist1d_par("a", &spec, Some(&expr), HistEngine::Custom, &seq_exec)
+    let h_seq = seq_engine
+        .hist1d("a", &spec, Some(&expr), HistEngine::Custom)
         .unwrap();
-    let h_par = engine
-        .hist1d_par("a", &spec, Some(&expr), HistEngine::Custom, &par_exec)
+    let h_par = par_engine
+        .hist1d("a", &spec, Some(&expr), HistEngine::Custom)
         .unwrap();
     assert_eq!(h_par, h_seq, "bin-identical histograms");
 
@@ -328,15 +353,15 @@ fn four_thread_speedup_when_cores_available() {
     let mut best_ratio = 0.0f64;
     for attempt in 0..4 {
         let t_seq = best(&|| {
-            evaluate_chunked(&expr, &p, &seq_exec).unwrap();
-            engine
-                .hist1d_par("a", &spec, Some(&expr), HistEngine::Custom, &seq_exec)
+            chunked(&expr, &p, &seq_exec).unwrap();
+            seq_engine
+                .hist1d("a", &spec, Some(&expr), HistEngine::Custom)
                 .unwrap();
         });
         let t_par = best(&|| {
-            evaluate_chunked(&expr, &p, &par_exec).unwrap();
-            engine
-                .hist1d_par("a", &spec, Some(&expr), HistEngine::Custom, &par_exec)
+            chunked(&expr, &p, &par_exec).unwrap();
+            par_engine
+                .hist1d("a", &spec, Some(&expr), HistEngine::Custom)
                 .unwrap();
         });
         best_ratio = best_ratio.max(t_seq / t_par);

@@ -11,7 +11,8 @@
 
 use std::collections::HashMap;
 
-use fastbit::par::{evaluate_chunked, ParExec};
+use fastbit::compile::evaluate_with;
+use fastbit::par::ParExec;
 use fastbit::persist::{
     decode_id_index, decode_index, decode_zone_maps, encode_id_index, encode_index,
     encode_zone_maps,
@@ -289,7 +290,7 @@ fn chunked_parallel_engine_agrees_on_reloaded_providers() {
         for threads in [1usize, 2, 8] {
             for chunk_rows in [1usize, 997, n] {
                 let exec = ParExec::new(threads, chunk_rows);
-                let chunked = evaluate_chunked(&expr, &r, &exec).unwrap();
+                let chunked = evaluate_with(&expr, &r, ExecStrategy::ScanOnly, &exec).unwrap();
                 assert_eq!(
                     chunked.to_rows(),
                     oracle.to_rows(),

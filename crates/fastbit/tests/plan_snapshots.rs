@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fastbit::compile::{PlanMode, Program};
+use fastbit::compile::Program;
 use fastbit::par::{ZoneMaps, DEFAULT_CHUNK_ROWS};
 use fastbit::{parse_query, BitmapIndex, ColumnProvider, ExecStrategy};
 use histogram::Binning;
@@ -74,9 +74,9 @@ fn provider() -> MemProvider {
     }
 }
 
-fn explain(query: &str, p: &MemProvider, mode: PlanMode) -> String {
+fn explain(query: &str, p: &MemProvider, strategy: ExecStrategy) -> String {
     Program::compile(&parse_query(query).unwrap())
-        .explain(p, mode)
+        .explain(p, strategy)
         .unwrap()
 }
 
@@ -89,7 +89,7 @@ fn sequential_auto_routes_index_zones_and_plain_scan() {
     let got = explain(
         "idx [10, 20) && zoned > 5 && plain <= 3",
         &p,
-        PlanMode::Sequential(ExecStrategy::Auto),
+        ExecStrategy::Auto,
     );
     assert_eq!(
         got,
@@ -108,7 +108,7 @@ fn sequential_auto_routes_index_zones_and_plain_scan() {
 #[test]
 fn candidate_checks_and_encodings_are_printed() {
     let p = provider();
-    let got = explain("idx > 15", &p, PlanMode::Sequential(ExecStrategy::Auto));
+    let got = explain("idx > 15", &p, ExecStrategy::Auto);
     assert_eq!(
         got,
         "plan idx > 15\n\
@@ -118,11 +118,7 @@ fn candidate_checks_and_encodings_are_printed() {
     );
     // A single-bin range prefers the equality encoding (one bitmap beats
     // two cumulative operations), even though cumulative bitmaps exist.
-    let got = explain(
-        "idx [10, 20) || idx [30, 40)",
-        &p,
-        PlanMode::Sequential(ExecStrategy::Auto),
-    );
+    let got = explain("idx [10, 20) || idx [30, 40)", &p, ExecStrategy::Auto);
     assert_eq!(
         got,
         "plan (idx [10 , 20) || idx [30 , 40))\n\
@@ -138,59 +134,13 @@ fn candidate_checks_and_encodings_are_printed() {
 #[test]
 fn scan_only_ignores_the_index_but_keeps_prune_guards() {
     let p = provider();
-    let got = explain(
-        "idx [10, 20) && zoned > 5",
-        &p,
-        PlanMode::Sequential(ExecStrategy::ScanOnly),
-    );
+    let got = explain("idx [10, 20) && zoned > 5", &p, ExecStrategy::ScanOnly);
     assert_eq!(
         got,
         "plan (idx [10 , 20) && zoned > 5)\n\
          mode: sequential(scan-only)\n\
          s0: idx [10 , 20) <- scan\n\
          s1: zoned > 5 <- scan (zone-pruned)\n\
-         \x20 r0 = load s0\n\
-         \x20 r0 &= s1\n\
-         root: r0\n"
-    );
-}
-
-#[test]
-fn chunked_modes_print_their_pruning_and_accel_flags() {
-    let p = provider();
-    let query = "idx [10, 20) && plain <= 3";
-    let accel = explain(
-        query,
-        &p,
-        PlanMode::Chunked {
-            pruning: true,
-            index_accel: true,
-        },
-    );
-    assert_eq!(
-        accel,
-        "plan (idx [10 , 20) && plain <= 3)\n\
-         mode: chunked(pruning=on, index-accel=on)\n\
-         s0: idx [10 , 20) <- index (encoding=equality, exact)\n\
-         s1: plain <= 3 <- scan (zone-pruned)\n\
-         \x20 r0 = load s0\n\
-         \x20 r0 &= s1\n\
-         root: r0\n"
-    );
-    let plain = explain(
-        query,
-        &p,
-        PlanMode::Chunked {
-            pruning: false,
-            index_accel: false,
-        },
-    );
-    assert_eq!(
-        plain,
-        "plan (idx [10 , 20) && plain <= 3)\n\
-         mode: chunked(pruning=off, index-accel=off)\n\
-         s0: idx [10 , 20) <- scan\n\
-         s1: plain <= 3 <- scan\n\
          \x20 r0 = load s0\n\
          \x20 r0 &= s1\n\
          root: r0\n"
@@ -205,7 +155,7 @@ fn negation_and_shared_slots_show_in_the_op_listing() {
     let got = explain(
         "!(plain <= 3 && zoned > 5) || plain <= 3",
         &p,
-        PlanMode::Sequential(ExecStrategy::ScanOnly),
+        ExecStrategy::ScanOnly,
     );
     assert_eq!(
         got,

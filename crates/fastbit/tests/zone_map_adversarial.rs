@@ -1,15 +1,18 @@
 //! Adversarial zone-map tests: ranges landing exactly on chunk min/max
 //! boundaries, all-NaN chunks, and constant-value chunks must prune
 //! correctly. Every case is checked two ways — against the sequential scan
-//! oracle and as a prune-vs-scan differential (pruning enabled vs disabled
-//! must be byte-identical) — mirroring the PR 1 `prev_toward` boundary bug
-//! class at the chunk level.
+//! oracle and as a prune-vs-scan differential (a provider with zone maps vs
+//! the same columns without them must be byte-identical) — mirroring the
+//! PR 1 `prev_toward` boundary bug class at the chunk level.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use fastbit::par::{evaluate_chunked, ParExec, Zone, ZoneVerdict};
+use fastbit::compile::evaluate_with;
+use fastbit::par::{ParExec, Zone, ZoneMaps, ZoneVerdict};
 use fastbit::{
-    evaluate_with_strategy, BitmapIndex, ColumnProvider, ExecStrategy, QueryExpr, ValueRange,
+    evaluate_with_strategy, BitmapIndex, ColumnProvider, ExecStrategy, QueryExpr, Result,
+    Selection, ValueRange,
 };
 
 struct MemProvider {
@@ -37,21 +40,39 @@ impl ColumnProvider for MemProvider {
     fn index(&self, _name: &str) -> Option<&BitmapIndex> {
         None
     }
+    fn zone_maps(&self, name: &str, chunk_rows: usize) -> Option<Arc<ZoneMaps>> {
+        Some(Arc::new(ZoneMaps::build(self.column(name)?, chunk_rows)))
+    }
 }
 
-/// Assert that `expr` evaluates identically with pruning on, pruning off,
+/// The same columns without zone maps: every chunk is scanned.
+struct NoZones<'a>(&'a MemProvider);
+
+impl ColumnProvider for NoZones<'_> {
+    fn num_rows(&self) -> usize {
+        self.0.num_rows()
+    }
+    fn column(&self, name: &str) -> Option<&[f64]> {
+        self.0.column(name)
+    }
+    fn index(&self, name: &str) -> Option<&BitmapIndex> {
+        self.0.index(name)
+    }
+}
+
+/// The compiled engine on `exec`, scanning every predicate.
+fn chunked(expr: &QueryExpr, p: &impl ColumnProvider, exec: &ParExec) -> Result<Selection> {
+    evaluate_with(expr, p, ExecStrategy::ScanOnly, exec)
+}
+
+/// Assert that `expr` evaluates identically with zone maps, without them,
 /// and under the sequential scan oracle, for several chunk geometries.
 fn assert_prune_scan_oracle_agree(p: &MemProvider, expr: &QueryExpr) {
     let oracle = evaluate_with_strategy(expr, p, ExecStrategy::ScanOnly).unwrap();
     for chunk_rows in [1usize, 7, 10, 64, p.rows.max(1)] {
         for threads in [1usize, 2, 8] {
-            let pruned = evaluate_chunked(expr, p, &ParExec::new(threads, chunk_rows)).unwrap();
-            let scanned = evaluate_chunked(
-                expr,
-                p,
-                &ParExec::new(threads, chunk_rows).without_pruning(),
-            )
-            .unwrap();
+            let pruned = chunked(expr, p, &ParExec::new(threads, chunk_rows)).unwrap();
+            let scanned = chunked(expr, &NoZones(p), &ParExec::new(threads, chunk_rows)).unwrap();
             assert_eq!(
                 pruned, scanned,
                 "prune-vs-scan diverged: {expr}, chunk_rows {chunk_rows}, threads {threads}"
@@ -146,7 +167,7 @@ fn all_nan_chunks_prune_to_empty_and_invert_to_full() {
     // The pruning actually fires: an aligned evaluation must prune the two
     // NaN chunks empty without scanning them.
     let exec = ParExec::new(1, 10);
-    evaluate_chunked(&QueryExpr::pred("x", ValueRange::all()), &p, &exec).unwrap();
+    chunked(&QueryExpr::pred("x", ValueRange::all()), &p, &exec).unwrap();
     let stats = exec.stats();
     assert_eq!(stats.chunks_pruned_empty, 2, "both all-NaN chunks pruned");
     assert_eq!(stats.chunks_pruned_full, 8, "clean chunks full-pruned");
@@ -162,7 +183,7 @@ fn mixed_nan_chunks_never_full_prune() {
     let p = MemProvider::one("x", data);
     let expr = QueryExpr::pred("x", ValueRange::between_inclusive(5.0, 5.0));
     let exec = ParExec::new(2, 10);
-    let got = evaluate_chunked(&expr, &p, &exec).unwrap();
+    let got = chunked(&expr, &p, &exec).unwrap();
     assert_eq!(got.count(), 39);
     assert!(!got.to_rows().contains(&17));
     let stats = exec.stats();
@@ -187,7 +208,7 @@ fn constant_value_chunks_prune_on_either_side() {
     }
     // Constant chunks always resolve without scanning at aligned geometry.
     let exec = ParExec::new(1, 10);
-    evaluate_chunked(&QueryExpr::pred("x", ValueRange::ge(3.0)), &p, &exec).unwrap();
+    chunked(&QueryExpr::pred("x", ValueRange::ge(3.0)), &p, &exec).unwrap();
     let stats = exec.stats();
     assert_eq!(stats.chunks_scanned, 0);
     assert_eq!(stats.chunks_pruned_empty + stats.chunks_pruned_full, 10);
@@ -218,7 +239,7 @@ fn misaligned_chunk_sizes_keep_pruning_honest() {
     let expr = QueryExpr::pred("x", ValueRange::between_inclusive(30.0, 39.0));
     for chunk_rows in [3usize, 9, 11, 13, 17, 99, 101] {
         let oracle = evaluate_with_strategy(&expr, &p, ExecStrategy::ScanOnly).unwrap();
-        let got = evaluate_chunked(&expr, &p, &ParExec::new(4, chunk_rows)).unwrap();
+        let got = chunked(&expr, &p, &ParExec::new(4, chunk_rows)).unwrap();
         assert_eq!(got.to_rows(), oracle.to_rows(), "chunk_rows {chunk_rows}");
     }
 }

@@ -150,7 +150,7 @@ impl Hist1D {
     }
 
     /// Construct directly from precomputed per-bin counts (used by the
-    /// index-accelerated histogram path).
+    /// indexed histogram path).
     pub fn from_counts(edges: BinEdges, counts: Vec<u64>) -> crate::Result<Self> {
         if counts.len() != edges.num_bins() {
             return Err(BinningError::ShapeMismatch {

@@ -73,7 +73,7 @@ impl Hist2D {
         h
     }
 
-    /// Construct from precomputed counts (index-accelerated path).
+    /// Construct from precomputed counts (indexed path).
     pub fn from_counts(
         x_edges: BinEdges,
         y_edges: BinEdges,

@@ -54,7 +54,7 @@ pub struct BeamAnalyzer<'a> {
 }
 
 impl<'a> BeamAnalyzer<'a> {
-    /// Analyse `catalog` with `pool` workers using the index-accelerated
+    /// Analyse `catalog` with `pool` workers using the indexed
     /// engine.
     pub fn new(catalog: &'a Catalog, pool: NodePool) -> Self {
         Self {

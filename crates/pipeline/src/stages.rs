@@ -27,13 +27,13 @@ pub struct HistogramStage {
     pub adaptive: bool,
     /// Optional condition restricting the histogrammed records.
     pub condition: Option<QueryExpr>,
-    /// Index-accelerated or scan execution.
+    /// Indexed or scan execution.
     pub engine: HistEngine,
 }
 
 impl HistogramStage {
     /// A stage computing uniform `bins × bins` histograms of `pairs` with the
-    /// index-accelerated engine.
+    /// indexed engine.
     pub fn new(pairs: Vec<(&str, &str)>, bins: usize) -> Self {
         Self {
             pairs: pairs

@@ -5,8 +5,8 @@
 //! ```text
 //! vdx-server serve --dir DIR [--addr 127.0.0.1:7878] [--workers N]
 //!                  [--cache-mb MB] [--query-cache N] [--nodes N]
-//!                  [--threads N] [--chunk-rows N] [--index-accel]
-//!                  [--store-dir DIR] [--trace-sample N] [--slow-ms MS]
+//!                  [--threads N] [--chunk-rows N] [--store-dir DIR]
+//!                  [--trace-sample N] [--slow-ms MS]
 //!                  [--max-line-bytes N] [--idle-timeout-ms MS]
 //!                  [--write-timeout-ms MS] [--max-pipeline N]
 //!                  [--queue-depth N]
@@ -31,6 +31,12 @@
 //! and the `SAVE`/`WARM` protocol verbs (plus the `store_*` `STATS` fields)
 //! drive and observe it. `smoke --dir --store-dir` reuses the catalog across
 //! invocations, so a second run exercises a warm start.
+//!
+//! `--threads N` splits each evaluation's scans and histogram binning into
+//! `--chunk-rows` chunks across N threads (zone maps skip the chunks they
+//! prove empty or full). Indexed predicates are answered through their
+//! index at every thread count, and replies are byte-identical at every
+//! setting.
 //!
 //! `--trace-sample N` records every Nth request as a per-stage span trace
 //! (`1` — the default — traces everything, `0` disables tracing) and
@@ -57,7 +63,7 @@ use lwfa::{SimConfig, Simulation};
 use vdx_server::cli::{check_args, flag, parsed_flag};
 use vdx_server::{Client, ConnConfig, Router, RouterConfig, Server, ServerConfig};
 
-const SERVE_USAGE: &str = "serve --dir DIR [--addr A] [--workers N] [--cache-mb MB] [--query-cache N] [--nodes N] [--threads N] [--chunk-rows N] [--index-accel] [--store-dir DIR] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]";
+const SERVE_USAGE: &str = "serve --dir DIR [--addr A] [--workers N] [--cache-mb MB] [--query-cache N] [--nodes N] [--threads N] [--chunk-rows N] [--store-dir DIR] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]";
 const ROUTE_USAGE: &str = "route --shard-map FILE.toml [--addr A] [--workers N] [--backend-timeout-ms MS] [--backend-inflight N] [--health-interval-ms MS] [--trace-sample N] [--slow-ms MS] [--max-line-bytes N] [--idle-timeout-ms MS] [--write-timeout-ms MS] [--max-pipeline N] [--queue-depth N]";
 const QUERY_USAGE: &str = "query --addr HOST:PORT <verb> [field ...]";
 const SMOKE_USAGE: &str = "smoke [--dir DIR] [--store-dir DIR]";
@@ -85,7 +91,6 @@ fn server_config(args: &[String]) -> Result<ServerConfig, String> {
         nodes: parsed_flag(args, "--nodes", defaults.nodes)?,
         threads: parsed_flag(args, "--threads", defaults.threads)?,
         chunk_rows: parsed_flag(args, "--chunk-rows", defaults.chunk_rows)?,
-        index_accel: args.iter().any(|a| a == "--index-accel"),
         dataset_cache: DatasetCacheConfig {
             max_bytes: cache_mb
                 .checked_mul(1 << 20)

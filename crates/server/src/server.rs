@@ -46,15 +46,12 @@ pub struct ServerConfig {
     pub conn: ConnConfig,
     /// Parallel "nodes" used by catalog-wide tracking requests.
     pub nodes: usize,
-    /// Worker threads used *within* one SELECT/REFINE/HIST evaluation by the
-    /// chunked parallel engine (1 = exact legacy sequential path).
+    /// Worker threads used *within* one SELECT/REFINE/HIST evaluation:
+    /// scans and histogram binning split into chunks across them. Replies
+    /// are byte-identical at every thread count.
     pub threads: usize,
-    /// Rows per evaluation chunk of the parallel engine.
+    /// Rows per evaluation chunk (the zone-map granularity of scans).
     pub chunk_rows: usize,
-    /// Let the chunked parallel engine answer predicates through bitmap
-    /// indexes (per-query equality/range encoding selection) instead of
-    /// scanning chunks. Results are byte-identical either way.
-    pub index_accel: bool,
     /// Execution engine for query evaluation and histograms.
     pub engine: HistEngine,
     /// Budget and sharding of the resident dataset cache.
@@ -76,7 +73,6 @@ impl Default for ServerConfig {
             nodes: 2,
             threads: 1,
             chunk_rows: fastbit::par::DEFAULT_CHUNK_ROWS,
-            index_accel: false,
             engine: HistEngine::FastBit,
             dataset_cache: DatasetCacheConfig::default(),
             query_cache_entries: 1024,
@@ -544,7 +540,6 @@ impl Server {
                 engine: config.engine,
                 threads: config.threads,
                 chunk_rows: config.chunk_rows,
-                index_accel: config.index_accel,
                 ..Default::default()
             },
         )

@@ -17,6 +17,7 @@ fn rejected(args: &[&str], named: &str) {
 #[test]
 fn unknown_flags_and_unparseable_values_are_rejected() {
     rejected(&["serve", "--io-mode", "threaded"], "--io-mode");
+    rejected(&["serve", "--index-accel"], "--index-accel");
     rejected(&["serve", "--workers", "abc"], "--workers");
     rejected(&["route", "--queue-depth", "-1"], "--queue-depth");
     rejected(&["smoke", "--workers", "2"], "--workers");

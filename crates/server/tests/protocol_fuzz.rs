@@ -211,7 +211,7 @@ fn stats_roundtrip_reports_parallel_thread_metrics() {
     assert!(stats.contains("par_chunk_rows=64"), "{stats}");
     assert!(stats.contains("par_queries=0"), "{stats}");
 
-    // SELECT and conditional HIST run through the chunked engine.
+    // SELECT and conditional HIST run through the two-thread engine.
     let (select, _) = state.handle_line("SELECT\t3\tpx > 0 && y > -1e9");
     assert!(select.starts_with("OK\tSELECT\t"), "{select}");
     let (hist, _) = state.handle_line("HIST\t2\tpx\t16\ty > 0");
@@ -227,10 +227,12 @@ fn stats_roundtrip_reports_parallel_thread_metrics() {
             .unwrap()
     };
     assert!(field("par_queries") >= 2, "{stats}");
-    let touched = field("par_chunks_pruned_empty")
-        + field("par_chunks_pruned_full")
-        + field("par_chunks_scanned");
-    assert!(touched > 0, "chunk accounting moved: {stats}");
+    // Both predicates are indexed: the engine answers them through the
+    // indexes, and the chunks they cover are counted.
+    assert!(
+        field("par_chunks_indexed") > 0,
+        "chunk accounting moved: {stats}"
+    );
 
     // The replies themselves are byte-identical to a sequential server's
     // over the same catalog.
